@@ -609,8 +609,8 @@ def main(argv=None):
                         (f"{backend}[workers={workers}]", backend, {"workers": workers})
                     )
             else:
-                # The in-process/device backends ("native", "gpu") take no
-                # worker count; measure each once with default options.
+                # The in-process "native" backend takes no worker count;
+                # measure it once with default options.
                 specs.append((backend, backend, None))
 
     reference = ReferenceSquiggle.from_genome(

@@ -15,9 +15,9 @@ round. The subsystem is split into three layers:
   *lanes* across a persistent pool of worker processes with shared-memory
   state blocks, :class:`ColumnShardedBackend` stripes *reference columns*
   across the pool so even a single-channel genome-scale workload uses every
-  core, and :class:`GpuArrayBackend` keeps the whole state in device memory
-  behind an :class:`~repro.core.array_module.ArrayModule` (CuPy/Torch).
-  All backends are panel-aware: a multi-target
+  core, and :class:`~repro.batch.native.NativeBackend` runs the int32 path
+  as a compiled scalar loop when Numba or the Cython build is present. All
+  backends are panel-aware: a multi-target
   :class:`~repro.core.panel.TargetPanel` advances in the same wavefront and
   reduces per target;
 * :class:`BatchSDTWEngine` — the backend-agnostic **lane manager**: admission
@@ -37,7 +37,6 @@ backends — so batching and sharding are purely execution-engine changes.
 from repro.batch.backends import (
     ColumnShardedBackend,
     ExecutionBackend,
-    GpuArrayBackend,
     NumpyBackend,
     ShardedProcessBackend,
     available_backends,
@@ -52,7 +51,6 @@ __all__ = [
     "BatchSquiggleClassifier",
     "ColumnShardedBackend",
     "ExecutionBackend",
-    "GpuArrayBackend",
     "LaneSnapshot",
     "NumpyBackend",
     "ShardedProcessBackend",

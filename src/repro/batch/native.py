@@ -27,10 +27,10 @@ by ``pip install -e .[native]``) for deployments without a JIT. The backend
 prefers the Cython build when it imports, falls back to Numba, and —
 ``jit=False`` / ``kernel="python"`` — runs the identical kernel as pure
 Python, which is how the test suite covers this backend's code path
-bit-for-bit on machines (and CI runners) with neither. Like ``"gpu"``
-without CuPy, the name is always registered so configs naming ``"native"``
-validate everywhere; *constructing* the backend with no compiled kernel
-available raises a :class:`RuntimeError` with an install hint.
+bit-for-bit on machines (and CI runners) with neither. The name is always
+registered so configs naming ``"native"`` validate everywhere;
+*constructing* the backend with no compiled kernel available raises a
+:class:`RuntimeError` with an install hint.
 
 Configurations outside the integer data path (float kernels, squared
 distance, fractional bonus) fall back to the inherited

@@ -18,8 +18,8 @@ Six subcommands cover the library's main workflows without writing Python:
   explicit flags (flags win): ``--batch`` switches onto the batched
   wavefront engine, ``--backend`` (choices generated from
   :func:`repro.batch.available_backends`, with ``--workers N`` for the
-  multi-process backends and ``--tile-columns`` for the in-process/device
-  ones) picks the execution backend, ``--prune`` (with ``--prune-margin``)
+  multi-process backends and ``--tile-columns`` for the in-process ones)
+  picks the execution backend, ``--prune`` (with ``--prune-margin``)
   turns on the early-abandoning sDTW pruning layer (decisions stay
   bit-identical), ``--lb-cascade`` (with ``--lb-level``) adds the
   lower-bound lane gate on top of it, and ``--target-panel N`` screens N
@@ -124,9 +124,9 @@ def _add_run_config_arguments(parser: argparse.ArgumentParser) -> None:
         "host and workload shape): 'numpy' advances all "
         "lanes in-process, 'sharded' stripes lanes across a worker-process "
         "pool, 'colsharded' stripes reference columns across the pool for "
-        "genome-scale references, 'gpu' keeps the state in device memory "
-        "via CuPy/Torch (implies the batch classifier; decisions are "
-        "identical whichever backend runs)",
+        "genome-scale references, 'native' runs the compiled scalar kernel "
+        "(implies the batch classifier; decisions are identical whichever "
+        "backend runs)",
     )
     parser.add_argument(
         "--workers",
@@ -140,9 +140,8 @@ def _add_run_config_arguments(parser: argparse.ArgumentParser) -> None:
         "--tile-columns",
         type=int,
         default=None,
-        help="column tile width for the in-process/device backends "
-        "(cache-sized or device-memory micro-batched advance; exact "
-        "results either way)",
+        help="column tile width for the in-process backends (cache-sized "
+        "advance; exact results either way)",
     )
     parser.add_argument(
         "--prune",

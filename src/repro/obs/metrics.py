@@ -8,9 +8,7 @@ recent observations per label set and expose nearest-rank percentiles —
 enough for the per-round p50/p95/p99 the benchmarks and dashboards read,
 without pulling in a client library.
 
-Lived in ``repro.serve.metrics`` until the observability layer landed; it
-moved here so local sessions and benchmarks feed the same registry the
-server exposes (``repro.serve.metrics`` re-exports it unchanged).
+Local sessions and benchmarks feed the same registry the server exposes.
 
 Thread-safe: round submissions update counters from the backend pool's
 executor threads while the event loop renders ``/metrics``.

@@ -20,9 +20,10 @@ Quickstart::
     with open_session(config) as session:
         result = session.run(reads)
 
-The pre-existing entry points (``build_pipeline`` specs,
-``BatchSquiggleClassifier(backend=...)``, ``classify_batch(backend=...)``)
-remain as thin shims over this layer and make bit-identical decisions.
+``build_pipeline`` mapping specs fold their ``backend`` keys into a
+:class:`RunConfig`, and the batch classifier entry points
+(``BatchSquiggleClassifier``, ``classify_batch``, ``cost_batch``) take one
+as ``run_config=``.
 """
 
 from repro.runtime.config import RunConfig, load_config_mapping

@@ -1,13 +1,9 @@
 """The declarative run configuration every entry point shares.
 
-Before this module existed the knobs of a classification run were scattered:
-``SquiggleFilter.classify_batch(backend=...)``,
-``BatchSquiggleClassifier(backend=, backend_options=)``, ``build_pipeline``
-spec keys and CLI flags all named the same things differently.
-:class:`RunConfig` is the single declarative description — what to align
-against, which kernel configuration, which thresholds, which execution
-backend with how many workers, how many channels — that
-:func:`repro.runtime.open_session`, :func:`repro.pipeline.api.build_pipeline`,
+:class:`RunConfig` is the single declarative description of a
+classification run — what to align against, which kernel configuration,
+which thresholds, which execution backend with how many workers, how many
+channels — that :func:`repro.runtime.open_session`, :func:`repro.pipeline.api.build_pipeline`,
 the CLI (``repro read-until --config run.json`` / ``repro config-dump``) and
 the benchmarks all construct and consume.
 
@@ -35,7 +31,7 @@ __all__ = ["RunConfig", "load_config_mapping"]
 # Which built-in execution backends consume which sizing option; options for
 # backends outside these sets (user-registered ones) pass through unchecked.
 _WORKER_BACKENDS = ("sharded", "colsharded")
-_TILED_BACKENDS = ("numpy", "gpu", "native")
+_TILED_BACKENDS = ("numpy", "native")
 
 
 @dataclass(frozen=True)
@@ -82,7 +78,7 @@ class RunConfig:
         :func:`repro.batch.available_backends`, or ``"auto"`` to let the
         tuner pick). ``workers`` sizes the multi-process pools;
         ``tile_columns`` bounds the column working set of the in-process
-        and device backends; ``backend_options`` passes anything else
+        backends; ``backend_options`` passes anything else
         straight to the backend factory. With ``backend="auto"`` the
         backend/workers/tile_columns triple is resolved at session spawn by
         :mod:`repro.tune` (calibration probes on first use, the persistent
@@ -181,7 +177,7 @@ class RunConfig:
             raise ValueError(f"tile_columns: must be positive, got {self.tile_columns}")
         if self.tile_columns is not None and self.backend in _WORKER_BACKENDS:
             raise ValueError(
-                f"tile_columns: only the in-process/device backends "
+                f"tile_columns: only the in-process backends "
                 f"({', '.join(_TILED_BACKENDS)}) tile columns, not {self.backend!r}"
             )
         if self.backend == "auto" and (

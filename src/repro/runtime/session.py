@@ -6,8 +6,8 @@ and the CLI drive. The session owns what used to be managed ad hoc at every
 call site:
 
 * **lazy backend creation** — nothing is spawned at ``open_session``; the
-  classifier, engine and execution backend (worker pools, shared memory,
-  device allocations) come up on the first chunk submitted;
+  classifier, engine and execution backend (worker pools, shared memory)
+  come up on the first chunk submitted;
 * **engine lifecycle** — the session is a context manager, ``close()`` is
   idempotent, a failure inside a round closes the session (no leaked worker
   pools when a run dies mid-stream), and any use after ``close()`` raises;
@@ -55,6 +55,19 @@ class SessionClosedError(RuntimeError):
     ``except RuntimeError`` callers keep working). Open a fresh session with
     :func:`open_session` instead of resurrecting a closed one.
     """
+
+
+def _require_finite_signals(round_chunks: Sequence["SignalChunk"]) -> None:
+    """Refuse a round with a non-finite sample: it would get an ordinary decision."""
+    for index, chunk in enumerate(round_chunks):
+        finite = np.isfinite(chunk.signal_pa)
+        if not finite.all():
+            position = int(np.argmin(finite))
+            value = np.asarray(chunk.signal_pa)[position]
+            raise ValueError(
+                f"chunk[{index}].signal: sample {position} is {value}; "
+                "signal samples must be finite"
+            )
 
 
 def open_session(config: RunConfig) -> "ReadUntilSession":
@@ -291,8 +304,12 @@ class ReadUntilSession:
         The direct-drive verb for benchmarks and custom loops: unseen read
         ids are begun automatically, then the whole round advances through
         one batched wavefront exactly as the pipeline's fast path would.
+        A chunk holding a NaN or infinite sample fails the whole round with
+        a ``ValueError`` naming it (``chunk[i].signal``) before any lane
+        state changes, so the session stays usable.
         """
         self._check_open()
+        _require_finite_signals(round_chunks)
         self._acquire_writer("submit")
         try:
             for chunk in round_chunks:

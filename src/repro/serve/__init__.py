@@ -31,6 +31,7 @@ Quickstart::
     actions, meta = client.submit_round(sid, chunks)
 """
 
+from repro.obs import MetricsRegistry
 from repro.serve.app import (
     BackgroundServer,
     Response,
@@ -42,7 +43,6 @@ from repro.serve.app import (
 )
 from repro.serve.client import AsyncServeClient, ServeClient, ServeClientError
 from repro.serve.manager import SessionManager, UnknownSessionError
-from repro.serve.metrics import MetricsRegistry
 from repro.serve.pool import BackendPool, PoolClosedError, PoolSaturatedError
 
 __all__ = [

@@ -24,7 +24,10 @@ Routes::
     POST   /shutdown                   begin graceful draining (also SIGTERM)
 
 Error mapping: config/chunk validation -> 400 (the ``RunConfig`` message,
-naming the offending field), unknown session -> 404, closed session or
+naming the offending field; a non-finite signal sample names its
+``chunk[i].signal``), a malformed ``Content-Length`` -> 400 and a body
+above :data:`MAX_BODY_BYTES` -> 413 (both close the connection without
+reading the body), unknown session -> 404, closed session or
 concurrent round -> 409, pool saturation -> 429 with a ``Retry-After``
 header (admission control, not failure — clients retry and no round is
 ever dropped), draining -> 503.
@@ -44,9 +47,9 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Tuple
 
+from repro.obs import MetricsRegistry
 from repro.runtime import SessionClosedError
 from repro.serve.manager import PoolSaturatedSessions, SessionManager, UnknownSessionError
-from repro.serve.metrics import MetricsRegistry
 from repro.serve.pool import BackendPool, PoolClosedError, PoolSaturatedError
 
 __all__ = [
@@ -59,12 +62,18 @@ __all__ = [
     "start_server",
 ]
 
+# Largest request body the server reads. A full-flowcell round (256
+# channels x 250 samples) is ~1.3 MB of JSON; the cap only stops a client
+# from making the server buffer an unbounded body.
+MAX_BODY_BYTES = 64 * 1024 * 1024
+
 _REASONS = {
     200: "OK",
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
     409: "Conflict",
+    413: "Content Too Large",
     429: "Too Many Requests",
     500: "Internal Server Error",
     503: "Service Unavailable",
@@ -262,7 +271,13 @@ class ServeServer:
             self._connections.add(task)
         try:
             while True:
-                request = await _read_request(reader)
+                try:
+                    request = await _read_request(reader)
+                except _BadRequest as error:
+                    # The body was not read, so the stream cannot be resynced.
+                    _write_response(writer, error.response, keep_alive=False)
+                    await writer.drain()
+                    break
                 if request is None:
                     break
                 method, path, headers, body = request
@@ -291,6 +306,30 @@ class ServeServer:
                 pass
 
 
+class _BadRequest(Exception):
+    """A request the transport refuses before reading its body."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.response = Response(status=status, body={"error": message})
+
+
+def _content_length(value: str) -> int:
+    """The declared body size; 400 unless a non-negative integer, 413 above the cap."""
+    value = value.strip()
+    if not value:
+        return 0
+    if not (value.isascii() and value.isdigit()):
+        raise _BadRequest(400, f"Content-Length: expected a non-negative integer, got {value!r}")
+    # Compare digit counts first: int() refuses strings of 4300+ digits.
+    digits = value.lstrip("0") or "0"
+    if len(digits) > len(str(MAX_BODY_BYTES)) or int(digits) > MAX_BODY_BYTES:
+        raise _BadRequest(
+            413, f"Content-Length: the body exceeds the {MAX_BODY_BYTES}-byte limit"
+        )
+    return int(digits)
+
+
 async def _read_request(
     reader: asyncio.StreamReader,
 ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
@@ -308,7 +347,7 @@ async def _read_request(
             break
         name, _, value = line.decode("latin-1").partition(":")
         headers[name.strip().lower()] = value.strip()
-    length = int(headers.get("content-length", "0") or 0)
+    length = _content_length(headers.get("content-length", ""))
     body = await reader.readexactly(length) if length else b""
     path = target.split("?", 1)[0]
     return method, path, headers, body

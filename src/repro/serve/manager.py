@@ -34,9 +34,9 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
+from repro.obs import MetricsRegistry
 from repro.pipeline.api import Action
 from repro.runtime import ReadUntilSession, RunConfig, open_session
-from repro.serve.metrics import MetricsRegistry
 from repro.serve.pool import BackendPool
 from repro.sequencer.read_until_api import SignalChunk
 

@@ -7,8 +7,8 @@ runtime. Candidates are ``(backend, workers, tile_columns, prune,
 lb_cascade)`` points drawn from:
 
 * **installed backends only** — the registry
-  (:func:`repro.batch.available_backends`) filtered by the native and GPU
-  import probes, so a candidate list never names an engine this host cannot
+  (:func:`repro.batch.available_backends`) filtered by the native kernel's
+  import probe, so a candidate list never names an engine this host cannot
   construct;
 * **hardware seeds** — ``tile_columns`` candidates from the detected L2
   size (the reason column tiling exists: keep the per-step column working
@@ -62,20 +62,17 @@ _L2_FALLBACK_BYTES = 1 << 20  # sysfs unavailable (macOS, containers): assume 1 
 def installed_backends() -> List[str]:
     """Registry backends this host can actually construct.
 
-    ``available_backends()`` lists every *registered* name; the native and
-    GPU entries additionally need an importable kernel (Numba or the AOT
-    Cython extension) or a device array module. Filtering here means a
-    candidate never fails for a reason the probe could have known up front.
+    ``available_backends()`` lists every *registered* name; the native
+    entry additionally needs an importable kernel (Numba or the AOT Cython
+    extension). Filtering here means a candidate never fails for a reason
+    the probe could have known up front.
     """
     from repro.batch.backends import available_backends
     from repro.batch.native import cython_kernel_available, numba_available
-    from repro.core.array_module import gpu_array_module
 
     names: List[str] = []
     for name in available_backends():
         if name == "native" and not (numba_available() or cython_kernel_available()):
-            continue
-        if name == "gpu" and gpu_array_module() is None:
             continue
         names.append(name)
     return names
@@ -157,7 +154,6 @@ def generate_candidates(shape: WorkloadShape) -> List[ProbeResult]:
     add("numpy", prune=True, lb_cascade=True)
     add("native")
     add("native", prune=True, lb_cascade=True)
-    add("gpu")
     tile = _tile_seed(shape)
     if tile is not None:
         add("numpy", tile_columns=tile)
@@ -215,7 +211,9 @@ def tune_config(
         cache = TuningCache(options.get("cache_path"))
     if not options.get("ignore_cache", False):
         entry = cache.get(key)
-        if entry is not None and entry.get("backend"):
+        # An entry naming a backend this host cannot build (an unregistered
+        # name, or "native" without a compiled kernel) is a miss: re-probe.
+        if entry is not None and entry.get("backend") in installed_backends():
             try:
                 decision = TunedDecision.from_dict(entry, cache_hit=True, key=key)
             except TypeError:

@@ -17,7 +17,6 @@ import pytest
 
 from repro.batch.classifier import BatchSquiggleClassifier
 from repro.core.config import SDTWConfig
-from repro.core.sdtw import sdtw_resume
 from repro.pipeline.api import build_pipeline
 from repro.pipeline.read_until import ReadUntilPipeline
 from repro.runtime import (
@@ -29,14 +28,11 @@ from repro.runtime import (
 from repro.sequencer.read_until_api import SignalChunk
 from repro.sequencer.reads import ReadGenerator, ReadLengthModel
 
-# Execution backends the acceptance property runs over. "gpu" executes the
-# device code path on the host array module, so the backend is covered
-# bit-for-bit on machines without a GPU stack.
+# Execution backends the acceptance property runs over.
 SESSION_BACKENDS = [
     ("numpy", {}),
     ("sharded", {"workers": 2}),
     ("colsharded", {"workers": 2}),
-    ("gpu", {"backend_options": {"array_module": "numpy"}}),
 ]
 
 
@@ -92,9 +88,12 @@ class TestRunConfigValidation:
     def test_backend_name_normalized(self):
         assert RunConfig(backend="NumPy").backend == "numpy"
 
-    def test_gpu_backend_name_validates_without_gpu_stack(self):
-        # The registry entry always exists; only *instantiation* needs CuPy/Torch.
-        assert RunConfig(backend="gpu", tile_columns=128).backend == "gpu"
+    def test_gpu_backend_name_is_rejected(self):
+        with pytest.raises(ValueError) as excinfo:
+            RunConfig(backend="gpu")
+        assert str(excinfo.value).startswith(
+            "backend: unknown execution backend 'gpu'"
+        ), excinfo.value
 
     def test_resolved_backend_options_fold_sizing_fields(self):
         config = RunConfig(backend="sharded", workers=3, backend_options={"extra": 1})
@@ -224,6 +223,21 @@ class TestSessionLifecycle:
             session.submit([_chunk("r0", target_signals[0][:400], last=True)])
         with pytest.raises(RuntimeError, match="closed"):
             session.submit([_chunk("r1", target_signals[0][:400], last=True)])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_rejects_the_round_and_session_stays_usable(
+        self, reference_squiggle, target_signals, bad
+    ):
+        good = _chunk("r0", target_signals[0][:400], last=True)
+        signal = np.array(target_signals[1][:400], dtype=np.float64)
+        signal[7] = bad
+        with open_session(self._config(reference_squiggle)) as session:
+            with pytest.raises(ValueError, match=r"^chunk\[1\]\.signal: sample 7 is"):
+                session.submit([good, _chunk("r1", signal, channel=1, last=True)])
+            assert not session.closed
+            assert session.summary()["rounds"] == 0
+            actions = session.submit([good])
+            assert len(actions) == 1 and actions[0].is_terminal
 
     def test_summary_tallies_decisions(self, reference_squiggle, target_signals):
         with open_session(self._config(reference_squiggle)) as session:
@@ -428,7 +442,9 @@ class TestSessionBitIdentity:
 
 # ------------------------------------------------------------------- shims
 class TestDeprecationShims:
-    def test_classifier_backend_kwargs_warn_but_decide_identically(
+    """The pre-RunConfig backend kwargs are gone: run_config= replaces them."""
+
+    def test_classifier_run_config_decides_like_session(
         self,
         reference_squiggle,
         target_genome,
@@ -442,18 +458,10 @@ class TestDeprecationShims:
             session_decisions = _decision_fields(
                 session.run(runtime_flowcell_reads, target_genome=target_genome)
             )
-        with pytest.deprecated_call():
-            legacy = BatchSquiggleClassifier(
-                reference_squiggle,
-                threshold=runtime_threshold,
-                prefix_samples=800,
-                backend="sharded",
-                backend_options={"workers": 2},
-            )
-        with legacy:
-            legacy_decisions = _decision_fields(
+        with BatchSquiggleClassifier(reference_squiggle, run_config=config) as classifier:
+            classifier_decisions = _decision_fields(
                 ReadUntilPipeline(
-                    legacy,
+                    classifier,
                     target_genome,
                     assemble=False,
                     chunk_samples=400,
@@ -461,7 +469,7 @@ class TestDeprecationShims:
                     batch=True,
                 ).run(runtime_flowcell_reads)
             )
-        assert legacy_decisions == session_decisions
+        assert classifier_decisions == session_decisions
 
     def test_classifier_default_construction_does_not_warn(self, reference_squiggle):
         with warnings.catch_warnings():
@@ -490,79 +498,17 @@ class TestDeprecationShims:
     def test_classifier_rejects_run_config_plus_legacy_kwargs(
         self, reference_squiggle
     ):
-        with pytest.raises(ValueError, match="not both"):
+        with pytest.raises(TypeError, match="backend"):
             BatchSquiggleClassifier(
                 reference_squiggle,
                 threshold=1e9,
                 backend="numpy",
                 run_config=RunConfig(),
             )
-
-    def test_filter_classify_batch_backend_kwarg_warns(
-        self, calibrated_filter, target_signals
-    ):
-        with pytest.deprecated_call():
-            legacy = calibrated_filter.classify_batch(
-                target_signals, backend="sharded", backend_options={"workers": 2}
+        with pytest.raises(TypeError, match="backend_options"):
+            BatchSquiggleClassifier(
+                reference_squiggle, threshold=1e9, backend_options={}
             )
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            modern = calibrated_filter.classify_batch(
-                target_signals,
-                run_config=RunConfig(backend="sharded", workers=2),
-            )
-            plain = calibrated_filter.classify_batch(target_signals)
-        assert legacy == modern == plain
-
-    def test_filter_cost_batch_backend_kwarg_warns(
-        self, calibrated_filter, target_signals
-    ):
-        with pytest.deprecated_call():
-            legacy = calibrated_filter.cost_batch(target_signals, backend="numpy")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            modern = calibrated_filter.cost_batch(
-                target_signals, run_config=RunConfig()
-            )
-        assert legacy == modern
-
-
-# ------------------------------------------------------- gpu-on-host kernel
-class TestGpuBackendOnHost:
-    def test_gpu_backend_matches_scalar_rows(self, rng):
-        from repro.batch.engine import BatchSDTWEngine
-
-        reference = rng.integers(-127, 128, 60)
-        config = SDTWConfig.hardware()
-        for options in (
-            {"array_module": "numpy"},
-            {"array_module": "numpy", "tile_columns": 17},
-        ):
-            with BatchSDTWEngine(
-                reference, config, backend="gpu", backend_options=options
-            ) as engine:
-                states = {}
-                for _ in range(3):
-                    items = [
-                        (lane, rng.integers(-127, 128, int(rng.integers(1, 20))))
-                        for lane in range(4)
-                    ]
-                    snaps = engine.step(items)
-                    for lane, query in items:
-                        states[lane] = sdtw_resume(
-                            query, reference, config, state=states.get(lane)
-                        )
-                        assert snaps[lane].cost == states[lane].cost
-                for lane in range(4):
-                    assert np.array_equal(
-                        engine.state_of(lane).row, states[lane].row
-                    )
-
-    def test_cupy_module_skips_cleanly_when_absent(self):
-        from repro.core.array_module import get_array_module
-
-        cupy = pytest.importorskip("cupy")  # noqa: F841 - skip without CuPy
-        assert get_array_module("cupy").name == "cupy"
 
 
 # ---------------------------------------------------------------------- CLI

@@ -13,6 +13,7 @@ after release, no round ever dropped).
 
 import asyncio
 import json
+import socket
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from repro.serve import (
     ServeClientError,
     ServeServer,
 )
+from repro.serve.app import MAX_BODY_BYTES
 from repro.serve.client import AsyncServeClient
 from repro.serve.manager import SessionManager, chunk_from_payload
 from repro.serve.workload import build_tenant_workloads, replay_flowcell
@@ -356,6 +358,21 @@ class TestHttpEndToEnd:
         assert "read_id" in excinfo.value.message
         serve_client.close_session(session_id)
 
+    def test_non_finite_sample_is_a_400_and_the_session_keeps_working(
+        self, serve_client
+    ):
+        session_id = serve_client.create_session(service_config())
+        bad = wire_chunk("r1", seed=1, channel=1)
+        bad["signal"][3] = float("nan")
+        with pytest.raises(ServeClientError) as excinfo:
+            serve_client.submit_round(session_id, [wire_chunk("r0"), bad])
+        assert excinfo.value.status == 400
+        assert excinfo.value.message.startswith("chunk[1].signal:")
+        actions, meta = serve_client.submit_round(session_id, [wire_chunk("r0")])
+        assert len(actions) == 1 and actions[0].is_terminal
+        assert meta["round"] == 1
+        serve_client.close_session(session_id)
+
     def test_closed_underlying_session_maps_to_conflict(
         self, serve_server, serve_client
     ):
@@ -386,6 +403,51 @@ class TestHttpEndToEnd:
                 await client.close()
 
         run(scenario())
+
+
+def _raw_exchange(server, request: bytes):
+    """Send raw request bytes; return (status, headers, body) of the reply."""
+    with socket.create_connection((server.host, server.port), timeout=10) as sock:
+        sock.sendall(request)
+        reply = b""
+        while True:
+            data = sock.recv(65536)
+            if not data:  # the server closed the connection after answering
+                break
+            reply += data
+    head, _, body = reply.partition(b"\r\n\r\n")
+    status_line, *header_lines = head.decode("latin-1").split("\r\n")
+    headers = {
+        name.strip().lower(): value.strip()
+        for name, _, value in (line.partition(":") for line in header_lines)
+    }
+    return int(status_line.split()[1]), headers, json.loads(body)
+
+
+class TestRequestFraming:
+    @pytest.mark.parametrize("length", ["abc", "-5", "1.5", "+7"])
+    def test_malformed_content_length_is_a_400_and_closes(self, serve_server, length):
+        status, headers, body = _raw_exchange(
+            serve_server,
+            f"POST /v1/sessions HTTP/1.1\r\nContent-Length: {length}\r\n\r\n".encode(),
+        )
+        assert status == 400
+        assert headers["connection"] == "close"
+        assert body["error"].startswith("Content-Length:")
+
+    @pytest.mark.parametrize(
+        "length",
+        [MAX_BODY_BYTES + 1, 10**40, "9" * 5000],
+        ids=["cap-plus-one", "40-digits", "5000-digits"],
+    )
+    def test_oversized_body_is_a_413_without_reading_it(self, serve_server, length):
+        status, headers, body = _raw_exchange(
+            serve_server,
+            f"POST /v1/sessions HTTP/1.1\r\nContent-Length: {length}\r\n\r\n".encode(),
+        )
+        assert status == 413
+        assert headers["connection"] == "close"
+        assert str(MAX_BODY_BYTES) in body["error"]
 
 
 class TestBackpressure:

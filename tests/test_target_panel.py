@@ -29,6 +29,7 @@ from repro.core.sdtw import (
 from repro.genomes.sequences import random_genome
 from repro.pipeline.api import build_pipeline
 from repro.pipeline.read_until import ReadUntilPipeline
+from repro.runtime import RunConfig
 
 # Every execution shape a panel can advance on: the in-process wavefront,
 # the same wavefront in cache-sized column tiles, lanes across workers, and
@@ -327,7 +328,9 @@ class TestPanelFilter:
         )
         for backend, options in PANEL_BACKENDS:
             batch = squiggle_filter.classify_batch(
-                [signal], threshold=1e12, backend=backend, backend_options=options
+                [signal],
+                threshold=1e12,
+                run_config=RunConfig(backend=backend, **(options or {})),
             )
             assert batch == [decision], backend
 
@@ -472,8 +475,7 @@ class TestPanelPipeline:
                 panel,
                 threshold=threshold,
                 prefix_samples=500,
-                backend=backend,
-                backend_options=options,
+                run_config=RunConfig(backend=backend, **(options or {})),
             ) as classifier:
                 result = ReadUntilPipeline(
                     classifier,

@@ -20,10 +20,10 @@ import pytest
 
 from repro.batch.classifier import BatchSquiggleClassifier
 from repro.core.config import SDTWConfig
+from repro.obs import MetricsRegistry
 from repro.runtime import RunConfig, open_session
 from repro.sequencer.reads import ReadGenerator, ReadLengthModel
 from repro.serve.manager import SessionManager
-from repro.serve.metrics import MetricsRegistry
 from repro.serve.pool import BackendPool
 from repro.tune import (
     SCHEMA_VERSION,
@@ -291,6 +291,38 @@ class TestTuneConfig:
         # catches an unbounded sweep.
         assert elapsed < 10.0
         assert outcome.decision.probed_s > 0.0
+
+    def _plant_cached_backend(self, config, backend):
+        """Write a hand-made cache entry for ``config``'s shape naming ``backend``."""
+        cache = TuningCache()
+        cache.put(
+            cache_key(WorkloadShape.from_config(config)),
+            {"backend": backend, "workers": None, "tile_columns": None,
+             "prune": False, "lb_cascade": False},
+        )
+        assert cache.save()
+
+    def test_cached_unregistered_backend_is_a_miss(self):
+        config = small_config(backend="auto", tune_budget_s=1e-6)
+        self._plant_cached_backend(config, "gpu")
+        outcome = tune_config(config)
+        assert outcome.decision.cache_hit is False
+        assert outcome.decision.backend == "numpy"
+        resolved, _ = resolve_auto(config)
+        assert resolved.backend == "numpy"
+
+    def test_cached_native_without_compiled_kernel_is_a_miss(self, monkeypatch):
+        import repro.batch.native as native
+
+        monkeypatch.setattr(native, "numba_available", lambda: False)
+        monkeypatch.setattr(native, "cython_kernel_available", lambda: False)
+        config = small_config(backend="auto", tune_budget_s=1e-6)
+        self._plant_cached_backend(config, "native")
+        outcome = tune_config(config)
+        assert outcome.decision.cache_hit is False
+        assert outcome.decision.backend == "numpy"
+        # The re-probe replaced the entry, so the next lookup hits.
+        assert tune_config(config).decision.cache_hit is True
 
     def test_decision_applies_to_a_valid_config(self):
         config = small_config(backend="auto")

@@ -18,14 +18,13 @@ Two entry points:
   lambda-phage-scale reference, where every kernel call is
   memory-bandwidth-bound and one core's bandwidth is the ceiling (reported,
   not gated).
-* **script mode** (``python benchmarks/bench_batch_sdtw.py --backend sharded
-  --backend colsharded --workers 2 4``) measures any registered backend on
-  three workloads — ``flowcell``: by default 512 channels against a
-  genome-scale reference, the configuration lane sharding exists for;
-  ``genome_single_channel``: one channel against a larger genome, the
-  configuration **column** sharding exists for (lane striping has nothing to
-  distribute there; ``numpy`` vs ``sharded`` vs ``colsharded`` on that row is
-  the reference-axis-tiling story); and ``flowcell_pruned``: a minority of
+* **script mode** (``python benchmarks/bench_batch_sdtw.py --workers 2 4``)
+  measures any registered backend, plus the numpy backend's lane stripes
+  on each ``--workers`` thread count, on these workloads — ``flowcell``: by
+  default 512 channels against a genome-scale reference, the configuration
+  lane striping exists for; ``genome_single_channel``: one channel against
+  a larger genome (one lane, so striping has nothing to distribute and
+  that row runs serially); and ``flowcell_pruned``: a minority of
   channels stream reads sampled from the reference plus noise while the
   rest stream random signal, and every backend is measured brute-force
   **and** with the pruning layer on (kill bounds from a threshold placed
@@ -44,8 +43,9 @@ Two entry points:
   per-backend JSON so throughput
   scaling with ``--workers`` is measurable. Every engine run is traced
   (:mod:`repro.obs`), so each backend entry carries a ``phases`` self-time
-  breakdown whose sum matches the measured seconds, plus per-worker-track
-  phase tables for the process-sharded backends. ``--config run.json`` loads a
+  breakdown whose sum matches the measured seconds, plus, for striped runs,
+  a ``stripes`` summary (slowest/fastest stripe totals and the idle tail,
+  from :func:`repro.obs.stripe_summary`). ``--config run.json`` loads a
   :class:`repro.runtime.RunConfig`: its backend/workers/tile_columns become
   the measured backend (when no ``--backend`` flags are given) and the
   serialized config is recorded under the report's ``run_config`` key, so a
@@ -58,9 +58,9 @@ every cell of the full DP problem per second — pruned cells retire for free,
 so pruning raises it; it is the end-to-end throughput figure.
 ``effective_cells_per_s`` counts only the cells the kernel actually advanced
 per second — the raw compute rate, roughly constant with or without pruning
-(the multi-process column backend's figure includes halo recompute, so its
-``cells_advanced`` can exceed the problem's ``dp_cells``). Without pruning
-the two coincide up to that halo term.
+(column tiling's figure includes halo recompute, so its ``cells_advanced``
+can exceed the problem's ``dp_cells``). Without pruning the two coincide up
+to that halo term.
 
 Both emit a machine-readable JSON report (``BATCH_SDTW_JSON`` / ``--json``
 choose the path; unset or ``-`` prints to stdout only). Pytest tunables:
@@ -83,7 +83,7 @@ from repro.core.config import SDTWConfig
 from repro.core.reference import ReferenceSquiggle
 from repro.core.sdtw import sdtw_resume
 from repro.genomes.sequences import random_genome
-from repro.obs.trace import Tracer
+from repro.obs import Tracer, export_chrome_trace, stripe_summary
 
 CHANNELS = int(os.environ.get("BATCH_SDTW_CHANNELS", "256"))
 ROUNDS = int(os.environ.get("BATCH_SDTW_ROUNDS", "2"))
@@ -151,7 +151,7 @@ def _measure_engine(rounds, reference, config, backend, backend_options,
                     prune_threshold=None, prune_lifetime=None, lb_cascade=False):
     """One engine step per round across all channels, on the given backend.
 
-    Backend construction (worker-pool spawn for the sharded backend) happens
+    Backend construction (the thread pool of a striped backend) happens
     outside the timed region: pools are persistent in deployment, paid once
     per run, not once per round. The run is traced so the report can
     attribute round time to execution phases; the tracer is one predicted
@@ -186,33 +186,16 @@ def _measure_engine(rounds, reference, config, backend, backend_options,
         raise
 
 
-def _phase_breakdown(tracer):
-    """Per-phase self-time tables: the parent track, then each worker track.
-
-    The parent track's self times decompose the traced wall clock exactly
-    (every root span's duration is distributed over its subtree), so
-    ``sum(self_s) ~= seconds`` per backend entry. Worker tracks run on
-    other processes and overlap the parent, so they are reported separately
-    rather than summed in.
-    """
-    tracks = tracer.tracks()
-    parent = {
-        name: stat.as_dict()
-        for name, stat in sorted(tracer.phase_totals(tracks[0]).items())
-    }
-    workers = {
-        track: {
-            name: stat.as_dict()
-            for name, stat in sorted(tracer.phase_totals(track).items())
-        }
-        for track in tracks[1:]
-    }
-    return parent, workers
-
-
 def _backend_entry(backend, options, dp_cells, scalar_s, batch_s, engine, tracer):
-    """One report entry: timings, phase breakdown, and the cell counters."""
-    phases, worker_phases = _phase_breakdown(tracer)
+    """One report entry: timings, phase breakdown, and the cell counters.
+
+    Phase self times decompose the traced wall clock exactly (every root
+    span's duration is distributed over its subtree), so ``sum(self_s) ~=
+    seconds`` per backend entry.
+    """
+    phases = {
+        name: stat.as_dict() for name, stat in sorted(tracer.phase_totals().items())
+    }
     advanced = engine.cells_advanced
     pruned = engine.cells_pruned
     entry = {
@@ -230,8 +213,10 @@ def _backend_entry(backend, options, dp_cells, scalar_s, batch_s, engine, tracer
         "phases": phases,
         "phase_self_seconds": sum(stat["self_s"] for stat in phases.values()),
     }
-    if worker_phases:
-        entry["worker_phases"] = worker_phases
+    # Stripe timings ride on the flight recorder's backend.wavefront spans.
+    stripes = stripe_summary(export_chrome_trace(tracer))
+    if stripes is not None:
+        entry["stripes"] = stripes
     return entry
 
 
@@ -465,8 +450,8 @@ def main(argv=None):
         "--workers",
         type=int,
         nargs="+",
-        default=[2],
-        help="worker-pool sizes to measure for the sharded backend (one "
+        default=[],
+        help="thread counts to stripe the numpy backend's lanes over (one "
         "measurement per value, so scaling is visible in the JSON)",
     )
     parser.add_argument(
@@ -487,8 +472,8 @@ def main(argv=None):
         type=int,
         default=6000,
         help="genome length for the single-channel workload (0 skips it); "
-        "this is the regime column sharding targets: one lane, a reference "
-        "too long for one core's bandwidth",
+        "one lane against a reference too long for one core's bandwidth, "
+        "where lane striping has nothing to distribute",
     )
     parser.add_argument(
         "--single-channel-rounds",
@@ -600,17 +585,11 @@ def main(argv=None):
         elif options:
             specs.append(("numpy[config]", "numpy", options))
     else:
+        for workers in args.workers:
+            specs.append((f"numpy[workers={workers}]", "numpy", {"workers": workers}))
         for backend in args.backend or ["numpy"]:
-            if backend == "numpy":
-                continue
-            if backend in ("sharded", "colsharded"):
-                for workers in args.workers:
-                    specs.append(
-                        (f"{backend}[workers={workers}]", backend, {"workers": workers})
-                    )
-            else:
-                # The in-process "native" backend takes no worker count;
-                # measure it once with default options.
+            if backend != "numpy":
+                # "native" takes no thread count; measure it once.
                 specs.append((backend, backend, None))
 
     reference = ReferenceSquiggle.from_genome(
@@ -622,9 +601,8 @@ def main(argv=None):
     _REPORTS["flowcell"] = report
 
     if args.single_channel_genome_bases:
-        # One channel, genome-scale reference: the workload PR 2 measured as
-        # single-core bandwidth-bound. Lane sharding cannot help (one lane);
-        # column sharding stripes the reference axis instead.
+        # One channel, genome-scale reference: single-core bandwidth-bound.
+        # Lane striping cannot help (one lane).
         single_reference = ReferenceSquiggle.from_genome(
             random_genome(args.single_channel_genome_bases, seed=args.seed + 1)
         ).values(quantized=True)

@@ -184,31 +184,29 @@ def main() -> None:
           f"mean tile utilization {stats.mean_utilization:.2%}, "
           f"max queueing delay {stats.max_waiting_ms:.3f} ms")
 
-    # ---- The same session on the sharded multi-process backend -------------
+    # ---- The same session with lane-striped threads -------------------------
     # Execution backends are pluggable behind the engine's lane manager:
-    # "sharded" stripes the lanes across a persistent pool of worker
-    # processes (shared-memory DP state, only query chunks and cost
-    # snapshots on the pipes), so genome-scale references scale with the
-    # core count. Switching is one with_() on the config — decisions are
-    # bit-identical to the numpy backend; the assertion below checks
-    # exactly that on this session.
-    sharded_config = run_config.with_(backend="sharded", workers=2, threshold=threshold)
-    with open_session(sharded_config) as sharded_session:
-        sharded_result = sharded_session.run(reads, target_genome=target_genome)
+    # workers=2 stripes every round's lanes over two threads of the numpy
+    # backend (the wavefront's numpy ufuncs release the GIL, so the stripes
+    # advance in parallel on one shared DP state). Switching is one with_()
+    # on the config — decisions are bit-identical to the serial backend; the
+    # assertion below checks exactly that on this session.
+    threaded_config = run_config.with_(backend="numpy", workers=2, threshold=threshold)
+    with open_session(threaded_config) as threaded_session:
+        threaded_result = threaded_session.run(reads, target_genome=target_genome)
     numpy_decisions = {
         o.read.read_id: (o.ejected, o.decision.cost if o.decision else None)
         for o in batched_result.session.outcomes
     }
-    sharded_decisions = {
+    threaded_decisions = {
         o.read.read_id: (o.ejected, o.decision.cost if o.decision else None)
-        for o in sharded_result.session.outcomes
+        for o in threaded_result.session.outcomes
     }
-    assert sharded_decisions == numpy_decisions
-    print("\n-- sharded execution backend (2 worker processes) --")
-    print(f"backend: {sharded_result.streaming['backend']}, "
-          f"recall {sharded_result.recall:.2f} — decisions bit-identical "
-          "to the numpy backend")
-
+    assert threaded_decisions == numpy_decisions
+    print("\n-- numpy execution backend, lanes striped over 2 threads --")
+    print(f"backend: {threaded_result.streaming['backend']}, "
+          f"recall {threaded_result.recall:.2f} — decisions bit-identical "
+          "to the serial numpy backend")
 
 if __name__ == "__main__":
     main()

@@ -6,15 +6,15 @@ microseconds go between raw signal and an eject decision — and
 ``repro.obs`` gives the reproduction the same lens on itself. This example
 
 1. opens a **traced** :class:`~repro.runtime.ReadUntilSession`
-   (``RunConfig(trace=True, trace_path=...)``) on the sharded
-   worker-process backend and streams a small simulated flowcell through
-   it,
+   (``RunConfig(trace=True, trace_path=...)``) on the numpy backend with
+   its lanes striped over two threads, and streams a small simulated
+   flowcell through it,
 2. reads the in-memory **flight recorder** (``session.trace()``) and the
    per-phase totals in ``session.summary()["phase_totals"]``,
-3. prints the per-track **self-time** phase tables — per track, self times
-   decompose the root spans' wall clock exactly, so every table sums to
-   that track's traced time — including one track per backend worker
-   process, and
+3. prints the **self-time** phase table — self times decompose the root
+   spans' wall clock exactly, so the table sums to the traced time — and
+   the stripe timings (``stripes``, ``stripe_max_s``, ``stripe_min_s``)
+   carried on each striped ``backend.wavefront`` span, and
 4. exports Chrome trace-event JSON on close: open it at
    https://ui.perfetto.dev, or run ``repro trace trace_phases.json``.
 
@@ -27,7 +27,7 @@ Run with:  python examples/trace_phases.py
 from __future__ import annotations
 
 from repro.genomes.sequences import random_genome
-from repro.obs import load_trace, validate_trace
+from repro.obs import load_trace, stripe_summary, validate_trace
 from repro.pore_model.kmer_model import KmerModel
 from repro.runtime import RunConfig, open_session
 from repro.sequencer.reads import ReadGenerator, ReadLengthModel, SpecimenMixture
@@ -66,7 +66,7 @@ def main() -> None:
         prefix_samples=800,
         chunk_samples=400,
         n_channels=8,
-        backend="sharded",
+        backend="numpy",
         workers=2,
         label="trace-demo",
     )
@@ -97,29 +97,31 @@ def main() -> None:
             o.ejected for o in baseline.session.outcomes
         ]
 
-        print(f"\nflight recorder: {len(session.trace())} spans/instants on "
-              f"{len(tracer.tracks())} tracks {tracer.tracks()}")
+        print(f"\nflight recorder: {len(session.trace())} spans/instants")
         print(f"round wall clock: {summary['round_wall_s'] * 1e3:.1f} ms over "
               f"{summary['busy_rounds']} busy rounds ({summary['n_polls']} polls)")
 
-        # 3. Per-track self-time breakdown. The parent track's self times sum
-        #    to its root spans' wall clock; each worker track decomposes its
-        #    own process's time the same way.
-        for track in tracer.tracks():
-            phases = tracer.phase_totals(track)
-            total_self_ms = sum(s.self_s for s in phases.values()) * 1e3
-            print(f"\n  [{track}] {total_self_ms:.1f} ms self time")
-            ranked = sorted(
-                phases.items(), key=lambda item: -item[1].self_s
-            )
-            for name, stat in ranked[:5]:
-                share = stat.self_s * 1e3 / total_self_ms if total_self_ms else 0.0
-                print(f"    {name:<20} x{stat.count:<4} "
-                      f"{stat.self_s * 1e3:8.2f} ms  {share * 100:5.1f}%")
+        # 3. Self-time breakdown: self times sum to the root spans' wall clock.
+        phases = tracer.phase_totals()
+        total_self_ms = sum(s.self_s for s in phases.values()) * 1e3
+        print(f"\n  {total_self_ms:.1f} ms self time")
+        ranked = sorted(phases.items(), key=lambda item: -item[1].self_s)
+        for name, stat in ranked[:5]:
+            share = stat.self_s * 1e3 / total_self_ms if total_self_ms else 0.0
+            print(f"    {name:<20} x{stat.count:<4} "
+                  f"{stat.self_s * 1e3:8.2f} ms  {share * 100:5.1f}%")
 
-    # 4. The exported file is valid Chrome trace-event JSON.
+    # 4. The exported file is valid Chrome trace-event JSON; the stripe
+    #    threads' timings ride on the backend.wavefront spans.
     document = load_trace(TRACE_PATH)
     events = validate_trace(document)
+    stripes = stripe_summary(document)
+    if stripes is not None:
+        print(f"\n  {stripes['spans']} striped wavefronts: slowest stripe "
+              f"{stripes['slowest_s'] * 1e3:.2f} ms, fastest "
+              f"{stripes['fastest_s'] * 1e3:.2f} ms, idle tail "
+              f"{stripes['idle_tail_s'] * 1e3:.2f} ms")
+
     print(f"\nwrote {TRACE_PATH}: {len(events)} complete events, metadata "
           f"{document['metadata']} — open in ui.perfetto.dev or run "
           f"`repro trace {TRACE_PATH}`")

@@ -11,11 +11,9 @@ round. The subsystem is split into three layers:
 * :mod:`repro.batch.backends` — the pluggable **execution backends** behind a
   string-keyed registry (:func:`~repro.batch.backends.available_backends`):
   :class:`NumpyBackend` advances the lane-stacked state in-process (with
-  optional cache-sized column tiling), :class:`ShardedProcessBackend` stripes
-  *lanes* across a persistent pool of worker processes with shared-memory
-  state blocks, :class:`ColumnShardedBackend` stripes *reference columns*
-  across the pool so even a single-channel genome-scale workload uses every
-  core, and :class:`~repro.batch.native.NativeBackend` runs the int32 path
+  optional cache-sized column tiling, and optional lane stripes advanced on
+  a thread pool — ``workers``), and
+  :class:`~repro.batch.native.NativeBackend` runs the int32 path
   as a compiled scalar loop when Numba or the Cython build is present. All
   backends are panel-aware: a multi-target
   :class:`~repro.core.panel.TargetPanel` advances in the same wavefront and
@@ -31,14 +29,13 @@ round. The subsystem is split into three layers:
   rounds through (registered as ``"batch_squigglefilter"``).
 
 Per-lane costs are bit-identical to the per-read scalar kernels — and across
-backends — so batching and sharding are purely execution-engine changes.
+backends and thread counts — so batching and striping are purely
+execution-engine changes.
 """
 
 from repro.batch.backends import (
-    ColumnShardedBackend,
     ExecutionBackend,
     NumpyBackend,
-    ShardedProcessBackend,
     available_backends,
     create_backend,
     register_backend,
@@ -49,11 +46,9 @@ __all__ = [
     "BatchRound",
     "BatchSDTWEngine",
     "BatchSquiggleClassifier",
-    "ColumnShardedBackend",
     "ExecutionBackend",
     "LaneSnapshot",
     "NumpyBackend",
-    "ShardedProcessBackend",
     "available_backends",
     "create_backend",
     "register_backend",

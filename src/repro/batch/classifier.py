@@ -44,11 +44,11 @@ class BatchSquiggleClassifier:
     in the same wavefront and terminal actions carry the per-target argmin
     (``Action.target`` / ``Action.target_costs``). ``run_config`` — a
     :class:`repro.runtime.RunConfig` — selects the execution backend the
-    engine advances lanes on (``"numpy"`` in-process when omitted,
-    ``"sharded"`` / ``"colsharded"`` across a worker-process pool — see
-    :mod:`repro.batch.backends`); decisions are bit-identical whichever
-    backend runs. Call :meth:`close` (or use the classifier as a context
-    manager) to release a multi-process backend's workers — or, better, let
+    engine advances lanes on (``"numpy"`` when omitted, with ``workers``
+    lane-stripe threads when set — see :mod:`repro.batch.backends`);
+    decisions are bit-identical whichever backend runs. Call :meth:`close`
+    (or use the classifier as a context manager) to release the backend's
+    threads — or, better, let
     a :class:`repro.runtime.ReadUntilSession` own the lifecycle.
     """
 
@@ -127,7 +127,7 @@ class BatchSquiggleClassifier:
         return self.engine.backend_name
 
     def close(self) -> None:
-        """Release the execution backend (worker processes, shared memory)."""
+        """Release the execution backend (its lane-stripe threads, if any)."""
         self.engine.close()
 
     def __enter__(self) -> "BatchSquiggleClassifier":
@@ -233,7 +233,7 @@ class BatchSquiggleClassifier:
         if any(signal.size == 0 for signal in signals):
             raise ValueError("cannot classify an empty signal")
         # Calibration always runs in-process: backends are bit-identical per
-        # lane, and a one-shot sweep should not spin up a second worker pool.
+        # lane, and a one-shot sweep should not spin up a second thread pool.
         with BatchSDTWEngine(self.panel, self.config, backend="numpy") as engine:
             costs: Dict[int, float] = {}
             offset = 0

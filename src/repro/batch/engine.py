@@ -9,9 +9,9 @@ doubling, so the engine serves any number of concurrent channels.
 Where the lane-stacked DP state physically lives — and how the wavefront
 executes — is delegated to an :class:`~repro.batch.backends.ExecutionBackend`:
 ``"numpy"`` (default) keeps one in-process :class:`BatchSDTWState` and runs
-:func:`~repro.core.sdtw.sdtw_resume_batch` directly; ``"sharded"`` stripes
-lanes across a persistent pool of worker processes so genome-scale references
-use every core's memory bandwidth. Backends are bit-identical per lane, so
+:func:`~repro.core.sdtw.sdtw_resume_batch` directly, optionally striping each
+round's lanes over a thread pool (``workers``) so a full flowcell uses every
+core. Backends are bit-identical per lane, so
 admission, retirement, decisions and the occupancy trace never depend on the
 backend choice.
 
@@ -102,21 +102,21 @@ class BatchSDTWEngine:
     initial_capacity:
         Lanes preallocated up front; storage doubles on demand.
     backend:
-        Execution backend: a registered name (``"numpy"``, ``"sharded"``; see
+        Execution backend: a registered name (``"numpy"``, ``"native"``; see
         :func:`repro.batch.backends.available_backends`) or a prebuilt
         :class:`~repro.batch.backends.ExecutionBackend` instance. The engine
         owns backends it creates (``close`` shuts them down) but only borrows
         prebuilt ones.
     backend_options:
         Extra keyword arguments for the backend factory (e.g.
-        ``{"workers": 4}`` for the sharded backend).
+        ``{"workers": 4}`` stripes the numpy backend's lanes over 4 threads).
     tracer:
         Observability hook (:class:`repro.obs.Tracer`). Defaults to the
         shared disabled tracer, making every span a single ``if``; an
         enabled tracer records ``engine.step``/``engine.admit``/
         ``engine.grow`` spans and is handed to the backend so advance
-        phases (scatter, wavefront, reduce, gather — and worker-side
-        spans for the multi-process backends) land on the same timeline.
+        phases (scatter, wavefront, reduce, gather) land on the same
+        timeline.
         Tracing never changes what the engine computes.
     prune:
         Enable the kernel's pruning layer (early abandoning +
@@ -148,7 +148,7 @@ class BatchSDTWEngine:
         then an LB_Keogh-style per-block envelope bound); a lane whose
         bound provably exceeds its kill bound skips the wavefront
         advance entirely that round and is marked stale-dead — it never
-        crosses a worker pipe again. Bounds are conservative, so the
+        reaches the kernel again. Bounds are conservative, so the
         same exactness contract as ``prune`` holds: decisions and every
         cost at or below ``prune_bound + prune_margin`` stay
         bit-identical to brute force.

@@ -17,8 +17,8 @@ Six subcommands cover the library's main workflows without writing Python:
   (``.yaml`` works when PyYAML is installed) and/or override its fields with
   explicit flags (flags win): ``--batch`` switches onto the batched
   wavefront engine, ``--backend`` (choices generated from
-  :func:`repro.batch.available_backends`, with ``--workers N`` for the
-  multi-process backends and ``--tile-columns`` for the in-process ones)
+  :func:`repro.batch.available_backends`, with ``--workers N`` lane-stripe
+  threads for the numpy backend and ``--tile-columns`` for column tiling)
   picks the execution backend, ``--prune`` (with ``--prune-margin``)
   turns on the early-abandoning sDTW pruning layer (decisions stay
   bit-identical), ``--lb-cascade`` (with ``--lb-level``) adds the
@@ -122,9 +122,8 @@ def _add_run_config_arguments(parser: argparse.ArgumentParser) -> None:
         "come straight from the backend registry, plus 'auto' to let the "
         "repro.tune probes pick the backend/workers/tile point for this "
         "host and workload shape): 'numpy' advances all "
-        "lanes in-process, 'sharded' stripes lanes across a worker-process "
-        "pool, 'colsharded' stripes reference columns across the pool for "
-        "genome-scale references, 'native' runs the compiled scalar kernel "
+        "lanes in-process (striped over --workers threads when given), "
+        "'native' runs the compiled scalar kernel "
         "(implies the batch classifier; decisions are identical whichever "
         "backend runs)",
     )
@@ -132,16 +131,15 @@ def _add_run_config_arguments(parser: argparse.ArgumentParser) -> None:
         "--workers",
         type=int,
         default=None,
-        help="worker processes for the multi-process backends (requires "
-        "--backend sharded or colsharded; default: one per spare core, "
-        "capped at 8)",
+        help="threads the numpy backend stripes each round's lanes over "
+        "(default: serial; decisions are identical either way)",
     )
     parser.add_argument(
         "--tile-columns",
         type=int,
         default=None,
-        help="column tile width for the in-process backends (cache-sized "
-        "advance; exact results either way)",
+        help="column tile width for the wavefront (cache-sized advance; "
+        "each lane stripe tiles on its own; exact results either way)",
     )
     parser.add_argument(
         "--prune",
@@ -798,7 +796,13 @@ def _command_serve(args: argparse.Namespace) -> int:
 
 
 def _command_trace(args: argparse.Namespace) -> int:
-    from repro.obs import format_phase_table, load_trace, phase_table, validate_trace
+    from repro.obs import (
+        format_phase_table,
+        load_trace,
+        phase_table,
+        stripe_summary,
+        validate_trace,
+    )
 
     try:
         document = load_trace(args.trace_file)
@@ -816,6 +820,15 @@ def _command_trace(args: argparse.Namespace) -> int:
         f"{total_self_ms:.3f} ms total self time"
     )
     print(format_phase_table(rows))
+    stripes = stripe_summary(document)
+    if stripes is not None:
+        print(
+            f"striped wavefronts: {stripes['spans']} spans, up to "
+            f"{stripes['stripes']} stripes; slowest stripe "
+            f"{stripes['slowest_s'] * 1e3:.3f} ms, fastest "
+            f"{stripes['fastest_s'] * 1e3:.3f} ms, idle tail "
+            f"{stripes['idle_tail_s'] * 1e3:.3f} ms"
+        )
     return 0
 
 

@@ -217,8 +217,8 @@ class SquiggleFilter:
         the resumable (no-reference-deletion) recurrences batch; callers fall
         back to the per-read loop for the vanilla recurrence. ``backend``
         picks the execution backend the one-shot engine advances on: a name
-        spins the backend up and tears it down inside this call (a whole
-        worker pool for ``"sharded"``), a prebuilt
+        spins the backend up and tears it down inside this call (its thread
+        pool too, when ``workers`` is set), a prebuilt
         :class:`~repro.batch.backends.ExecutionBackend` instance is borrowed
         and survives the call — pass an instance when classifying repeatedly.
         """
@@ -424,8 +424,8 @@ class MultiStageSquiggleFilter:
         to ``N * n_stages``. Decisions are identical to per-read
         :meth:`classify` calls, on whichever execution backend
         ``run_config`` names. A non-numpy backend is instantiated **once**
-        and reused across every stage (one worker-pool spawn per call for
-        ``"sharded"``, not one per stage), then released.
+        and reused across every stage (one thread pool per call when
+        ``workers`` is set, not one per stage), then released.
         """
         backend, backend_options = _run_config_backend(run_config)
         signals = [np.asarray(signal, dtype=np.float64) for signal in raw_signals]

@@ -24,9 +24,9 @@ The resumable recurrence also comes in a **batched** form:
 :func:`sdtw_resume_batch` stacks many lanes into a ``(lanes, reference)``
 state (:class:`BatchSDTWState`) and advances all of them with one set of
 NumPy matrix operations per wavefront step — the kernel every execution
-backend of :class:`repro.batch.BatchSDTWEngine` runs (in-process for the
-``numpy`` backend, once per shard inside each worker for the ``sharded``
-backend; see :mod:`repro.batch.backends`). Per-lane results are
+backend of :class:`repro.batch.BatchSDTWEngine` runs (once per round for the
+``numpy`` backend, or once per lane stripe on its own thread when the backend
+has ``workers``; see :mod:`repro.batch.backends`). Per-lane results are
 bit-identical to per-read :func:`sdtw_resume` calls, which is what makes the
 backends interchangeable.
 """
@@ -66,8 +66,8 @@ class AdvanceStats:
     the pruning layer skipped — frozen columns outside the active intervals
     plus whole rounds of early-abandoned lanes. Their sum is the nominal
     brute-force work ``sum(chunk lengths) x reference columns``. Execution
-    backends accumulate one instance across rounds; workers ship per-round
-    deltas back over their reply pipes.
+    backends accumulate one instance across rounds; a striped advance fills
+    one instance per stripe and merges them after the join.
     """
 
     __slots__ = ("cells_advanced", "cells_pruned")
@@ -215,8 +215,7 @@ def tile_halo_start(block_starts: np.ndarray, tile_start: int, halo_width: int) 
     ``halo_width`` (the longest chunk this round) columns suffice — and a
     block boundary severs the dependency entirely, so the halo never has to
     cross the nearest block start at or before the tile. This is the single
-    definition of the tiling invariant; the in-process tiled kernel and the
-    column-sharded workers must use the same one.
+    definition of the tiling invariant the tiled kernel uses.
     """
     nearest_block = int(
         block_starts[np.searchsorted(block_starts, tile_start, side="right") - 1]
@@ -588,7 +587,7 @@ def sdtw_resume_batch(
     pre-advance state computes its own columns exactly; the halo region is
     recomputed and discarded. Outputs are bit-identical to the untiled
     advance — tiling is purely an execution-locality knob (keep a hot tile in
-    cache across all steps of a chunk; stripe tiles across workers).
+    cache across all steps of a chunk).
 
     ``prune_bounds`` (one kill threshold per lane, ``inf`` = never prune the
     lane) turns on the pruning layer: columns whose stored cost exceeds the

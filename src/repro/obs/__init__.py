@@ -3,10 +3,9 @@
 Three pieces, usable independently:
 
 * :mod:`repro.obs.trace` — :class:`Tracer` with nestable spans, instant
-  events, a bounded flight recorder and per-phase self-time accounting;
-  worker processes ship compact span tuples back for merging into the
-  parent timeline (``NULL_TRACER`` is the shared disabled instance the
-  hot paths are instrumented against).
+  events, a bounded flight recorder and per-phase self-time accounting
+  (``NULL_TRACER`` is the shared disabled instance the hot paths are
+  instrumented against).
 * :mod:`repro.obs.export` — Chrome trace-event / Perfetto JSON export,
   structural validation, and the per-phase table behind ``repro trace``.
 * :mod:`repro.obs.metrics` — the Prometheus-style
@@ -26,6 +25,7 @@ from .export import (
     load_trace,
     phase_table,
     records_to_events,
+    stripe_summary,
     validate_trace,
     write_chrome_trace,
 )
@@ -35,8 +35,6 @@ from .trace import (
     PhaseStat,
     SpanRecord,
     Tracer,
-    WorkerSpan,
-    worker_span,
 )
 
 __all__ = [
@@ -45,13 +43,12 @@ __all__ = [
     "PhaseStat",
     "SpanRecord",
     "Tracer",
-    "WorkerSpan",
     "export_chrome_trace",
     "format_phase_table",
     "load_trace",
     "phase_table",
     "records_to_events",
+    "stripe_summary",
     "validate_trace",
-    "worker_span",
     "write_chrome_trace",
 ]

@@ -4,9 +4,12 @@ The emitted file is the JSON object form of the Chrome trace-event format
 (``{"traceEvents": [...]}``) — loadable in Perfetto (https://ui.perfetto.dev)
 and ``chrome://tracing``. Spans become complete events (``"ph": "X"``) with
 microsecond ``ts``/``dur`` rebased to the earliest record in the trace;
-instants become ``"ph": "i"``. Every track gets a thread id plus a
-``thread_name`` metadata event so worker timelines show up labelled
-(``sharded-worker-0``, …) under one process.
+instants become ``"ph": "i"``. Every track (the recording tracer's
+``track`` name, e.g. ``session``) gets a thread id plus a ``thread_name``
+metadata event so the timeline shows up labelled under one process. The
+``numpy`` backend's lane-stripe threads never write spans; their timings
+ride on ``backend.wavefront`` as the ``stripes``, ``stripe_max_s`` and
+``stripe_min_s`` arguments.
 
 :func:`validate_trace` checks the structural contract CI relies on: required
 keys per event, non-negative timings, and — per (track, depth) — spans
@@ -15,7 +18,8 @@ LIFO span stack on a monotonic clock" looks like after export.
 
 :func:`phase_table` / :func:`format_phase_table` power the ``repro trace``
 subcommand: a per-phase self-time table computed from an exported file, so a
-host without a browser still gets the breakdown.
+host without a browser still gets the breakdown. :func:`stripe_summary` adds
+the striped wavefronts' slowest/fastest stripe totals and their idle tail.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ __all__ = [
     "load_trace",
     "phase_table",
     "records_to_events",
+    "stripe_summary",
     "validate_trace",
     "write_chrome_trace",
 ]
@@ -201,6 +206,33 @@ def phase_table(document: Mapping[str, Any]) -> List[Dict[str, Any]]:
     ]
     rows.sort(key=lambda row: (-row["self_us"], row["phase"]))
     return rows
+
+
+def stripe_summary(document: Mapping[str, Any]) -> Optional[Dict[str, Any]]:
+    """Stripe timings summed over the striped ``backend.wavefront`` spans.
+
+    Returns ``None`` when no span carries stripe arguments (a serial run).
+    Otherwise ``spans``, the most ``stripes`` any round used, the summed
+    ``slowest_s`` and ``fastest_s`` stripe wall times, and ``idle_tail_s``
+    — their difference, the time the fastest stripe's thread sat idle
+    waiting for the slowest.
+    """
+    striped = [
+        event["args"]
+        for event in validate_trace(document)
+        if "stripes" in event.get("args", {})
+    ]
+    if not striped:
+        return None
+    slowest = sum(float(args["stripe_max_s"]) for args in striped)
+    fastest = sum(float(args["stripe_min_s"]) for args in striped)
+    return {
+        "spans": len(striped),
+        "stripes": max(int(args["stripes"]) for args in striped),
+        "slowest_s": slowest,
+        "fastest_s": fastest,
+        "idle_tail_s": slowest - fastest,
+    }
 
 
 def format_phase_table(rows: Sequence[Mapping[str, Any]]) -> str:

@@ -10,8 +10,8 @@ monotonic clock, into
   session surfaces via ``session.trace()``, and
 * accumulating **per-phase totals** (:meth:`Tracer.phase_totals`): for every
   span name, how many times it ran, its total wall time, and its *self* time
-  (wall time minus the time spent inside child spans). Self times across one
-  track decompose the root spans' wall clock exactly, so a phase table that
+  (wall time minus the time spent inside child spans). Self times
+  decompose the root spans' wall clock exactly, so a phase table that
   "sums to the round time" is true by construction, not by luck.
 
 Design constraints, in order:
@@ -24,52 +24,29 @@ Design constraints, in order:
 2. **Bit-identity.** Tracing observes; it never changes what the kernels
    compute. (The test suite asserts traced and untraced runs decide
    identically on every registered backend.)
-3. **Cross-process mergeability.** Worker processes of the sharded backends
-   stamp their own compact span tuples (:func:`worker_span`, accumulated per
-   request) and ship them back over the existing reply pipes;
-   :meth:`Tracer.merge_worker_records` folds them into the parent timeline
-   under a per-worker ``track`` id. ``time.perf_counter`` is
-   ``CLOCK_MONOTONIC``-based on the platforms the worker pools run on
-   (workers are forked children of the tracing process), so parent and
-   worker timestamps share one timeline.
-
-Tracers are single-writer like the sessions that own them: spans must close
-in LIFO order on one thread at a time (the ``with`` statement guarantees
-it). Merging worker records and reading the recorder are safe at round
-boundaries, which is when they happen.
+3. **Single writer.** Like the sessions that own them, tracers are
+   written by one thread: spans close in LIFO order (the ``with`` statement
+   guarantees it), and reading the recorder is safe at round boundaries.
+   Code that fans work out to threads (the ``numpy`` backend's lane
+   stripes) times the threads itself and attaches the figures to a span
+   opened on the calling thread with the span's ``annotate`` method.
 """
 
 from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Mapping, Optional
 
 __all__ = [
     "NULL_TRACER",
     "PhaseStat",
     "SpanRecord",
     "Tracer",
-    "WorkerSpan",
-    "worker_span",
 ]
 
 _clock = time.perf_counter
-
-# Compact wire format for spans recorded inside worker processes:
-# (name, start_s, duration_s, self_s, depth). Plain tuples of floats pickle
-# fast and keep the reply-pipe payload small.
-WorkerSpan = Tuple[str, float, float, float, int]
-
-
-def worker_span(
-    name: str, start_s: float, end_s: float, child_s: float = 0.0, depth: int = 0
-) -> WorkerSpan:
-    """Build one worker-side span tuple from raw clock readings."""
-    duration = end_s - start_s
-    return (name, start_s, duration, duration - child_s, depth)
-
 
 @dataclass(frozen=True)
 class SpanRecord:
@@ -119,6 +96,9 @@ class _NullSpan:
     def __exit__(self, *exc_info: object) -> bool:
         return False
 
+    def annotate(self, **args: Any) -> None:
+        return None
+
 
 _NULL_SPAN = _NullSpan()
 
@@ -134,12 +114,16 @@ class _Span:
         self._args = args
 
     def __enter__(self) -> "_Span":
-        self._tracer._open(self._name, self._args)
+        self._tracer._open(self._name)
         return self
 
     def __exit__(self, *exc_info: object) -> bool:
-        self._tracer._close()
+        self._tracer._close(self._args)
         return False
+
+    def annotate(self, **args: Any) -> None:
+        """Add arguments known only once the span's work is done."""
+        self._args = {**(self._args or {}), **args}
 
 
 class Tracer:
@@ -148,8 +132,7 @@ class Tracer:
     ``capacity`` bounds the flight recorder (oldest records evicted first);
     the per-phase totals keep accumulating after the recorder wraps, so a
     long-running session's :meth:`phase_totals` always cover its whole
-    history. ``track`` names this tracer's timeline in exported traces —
-    worker-side records merge in under their own track ids.
+    history. ``track`` names this tracer's timeline in exported traces.
     """
 
     __slots__ = (
@@ -171,7 +154,7 @@ class Tracer:
         self.track = str(track)
         self.capacity = int(capacity)
         self._records: deque = deque(maxlen=self.capacity)
-        # Open-span frames: [name, start_s, child_s, args].
+        # Open-span frames: [name, start_s, child_s].
         self._stack: List[list] = []
         # name -> [count, total_s, self_s]; mutable for cheap accumulation.
         self._phases: Dict[str, list] = {}
@@ -206,12 +189,12 @@ class Tracer:
             )
         )
 
-    def _open(self, name: str, args: Optional[Dict[str, Any]]) -> None:
-        self._stack.append([name, _clock(), 0.0, args])
+    def _open(self, name: str) -> None:
+        self._stack.append([name, _clock(), 0.0])
 
-    def _close(self) -> None:
+    def _close(self, args: Optional[Dict[str, Any]]) -> None:
         end = _clock()
-        name, start, child_s, args = self._stack.pop()
+        name, start, child_s = self._stack.pop()
         duration = end - start
         self_s = duration - child_s
         if self._stack:
@@ -237,70 +220,21 @@ class Tracer:
         stat[1] += duration_s
         stat[2] += self_s
 
-    # ------------------------------------------------------ worker ingestion
-    def merge_worker_records(
-        self, records: Optional[Sequence[WorkerSpan]], track: str
-    ) -> None:
-        """Fold worker-side span tuples into the recorder under ``track``.
-
-        Worker clock readings are raw :func:`time.perf_counter` values from
-        a forked child of this process, so they land on the parent timeline
-        unadjusted. Worker phases are accounted in :meth:`phase_totals`
-        alongside parent phases (they live on a different track, so the
-        track-level decomposition invariant applies per track).
-        """
-        if not records or not self.enabled:
-            return
-        for name, start_s, duration_s, self_s, depth in records:
-            self._records.append(
-                SpanRecord(
-                    name=name,
-                    start_s=float(start_s),
-                    duration_s=float(duration_s),
-                    self_s=float(self_s),
-                    track=track,
-                    depth=int(depth),
-                )
-            )
-            self._account(name, float(duration_s), float(self_s))
-
     # -------------------------------------------------------------- reading
     def records(self) -> List[SpanRecord]:
         """A snapshot of the flight recorder (oldest first)."""
         return list(self._records)
 
-    def phase_totals(self, track: Optional[str] = None) -> Dict[str, PhaseStat]:
+    def phase_totals(self) -> Dict[str, PhaseStat]:
         """Accumulated per-phase stats over the tracer's whole history.
 
-        With ``track=None`` this is the cheap accumulating view covering
-        every track (survives recorder wrap-around). Passing a track name
-        recomputes from the flight recorder for that track only — the view
-        whose self times decompose that track's root spans exactly.
+        The accumulating view survives recorder wrap-around; self times
+        decompose the root spans' wall clock exactly.
         """
-        if track is None:
-            return {
-                name: PhaseStat(count=stat[0], total_s=stat[1], self_s=stat[2])
-                for name, stat in self._phases.items()
-            }
-        per_track: Dict[str, list] = {}
-        for record in self._records:
-            if record.track != track or record.kind != "span":
-                continue
-            stat = per_track.setdefault(record.name, [0, 0.0, 0.0])
-            stat[0] += 1
-            stat[1] += record.duration_s
-            stat[2] += record.self_s
         return {
             name: PhaseStat(count=stat[0], total_s=stat[1], self_s=stat[2])
-            for name, stat in per_track.items()
+            for name, stat in self._phases.items()
         }
-
-    def tracks(self) -> Tuple[str, ...]:
-        """Every track present in the recorder, parent track first."""
-        seen = {self.track: None}
-        for record in self._records:
-            seen.setdefault(record.track, None)
-        return tuple(seen)
 
     def total_s(self, name: str) -> float:
         """Total wall seconds accumulated under one span name (0.0 if unseen)."""

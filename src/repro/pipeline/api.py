@@ -574,9 +574,9 @@ def build_pipeline(spec: Any) -> "Any":
     ``backend`` / ``backend_options``
         Execution backend for a batch-capable classifier's engine (any name
         in :func:`repro.batch.available_backends`: ``"numpy"`` in-process,
-        ``"sharded"`` lanes across a worker-process pool, ``"colsharded"``
-        reference columns across the pool, ``"native"`` the compiled scalar
-        kernel; ``backend_options: {"workers": N}`` sizes the pools). These
+        ``"native"`` the compiled scalar kernel;
+        ``backend_options: {"workers": N}`` stripes the numpy backend's
+        lanes over N threads). These
         keys are folded into a :class:`repro.runtime.RunConfig` handed to
         the classifier factory as ``run_config``, so the chosen classifier
         must accept it (``"batch_squigglefilter"`` does).

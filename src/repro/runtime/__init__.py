@@ -16,7 +16,7 @@ Quickstart::
     from repro.runtime import RunConfig, open_session
 
     config = RunConfig(genome=genome, threshold=120_000.0,
-                       n_channels=8, backend="sharded", workers=4)
+                       n_channels=8, backend="numpy", workers=4)
     with open_session(config) as session:
         result = session.run(reads)
 

@@ -2,7 +2,7 @@
 
 :class:`RunConfig` is the single declarative description of a
 classification run — what to align against, which kernel configuration,
-which thresholds, which execution backend with how many workers, how many
+which thresholds, which execution backend with how many threads, how many
 channels — that :func:`repro.runtime.open_session`, :func:`repro.pipeline.api.build_pipeline`,
 the CLI (``repro read-until --config run.json`` / ``repro config-dump``) and
 the benchmarks all construct and consume.
@@ -27,11 +27,6 @@ from typing import Any, Dict, Mapping, Optional, Union
 from repro.core.config import SDTWConfig
 
 __all__ = ["RunConfig", "load_config_mapping"]
-
-# Which built-in execution backends consume which sizing option; options for
-# backends outside these sets (user-registered ones) pass through unchecked.
-_WORKER_BACKENDS = ("sharded", "colsharded")
-_TILED_BACKENDS = ("numpy", "native")
 
 
 @dataclass(frozen=True)
@@ -76,9 +71,10 @@ class RunConfig:
     backend / workers / tile_columns / backend_options:
         Execution backend for the batched engine (any name in
         :func:`repro.batch.available_backends`, or ``"auto"`` to let the
-        tuner pick). ``workers`` sizes the multi-process pools;
-        ``tile_columns`` bounds the column working set of the in-process
-        backends; ``backend_options`` passes anything else
+        tuner pick). ``workers`` is the ``numpy`` backend's thread count:
+        each round's lanes are striped over that many threads (``None`` or
+        1 runs serially); ``tile_columns`` bounds the column working set
+        (each stripe tiles on its own); ``backend_options`` passes anything else
         straight to the backend factory. With ``backend="auto"`` the
         backend/workers/tile_columns triple is resolved at session spawn by
         :mod:`repro.tune` (calibration probes on first use, the persistent
@@ -105,7 +101,7 @@ class RunConfig:
         cascade of conservative lower bounds (LB_Kim-style extrema bound,
         then an LB_Keogh-style per-target envelope bound at ``lb_level``
         2, the default) lets whole lanes skip their wavefront advance —
-        before dispatch, so skipped lanes never cross worker pipes —
+        before dispatch, so skipped lanes never reach the kernel —
         once no continuation could ever decide differently. Decisions
         stay bit-identical to brute force.
     """
@@ -168,18 +164,13 @@ class RunConfig:
         object.__setattr__(self, "backend", backend)
         if self.workers is not None and self.workers <= 0:
             raise ValueError(f"workers: must be positive, got {self.workers}")
-        if self.workers is not None and self.backend in _TILED_BACKENDS:
+        if self.workers is not None and self.backend == "native":
             raise ValueError(
-                f"workers: only the multi-process backends ({', '.join(_WORKER_BACKENDS)}) "
-                f"take a worker count, not {self.backend!r}"
+                "workers: only the numpy backend stripes lanes over threads, "
+                "not 'native'"
             )
         if self.tile_columns is not None and self.tile_columns <= 0:
             raise ValueError(f"tile_columns: must be positive, got {self.tile_columns}")
-        if self.tile_columns is not None and self.backend in _WORKER_BACKENDS:
-            raise ValueError(
-                f"tile_columns: only the in-process backends "
-                f"({', '.join(_TILED_BACKENDS)}) tile columns, not {self.backend!r}"
-            )
         if self.backend == "auto" and (
             self.workers is not None or self.tile_columns is not None
         ):

@@ -6,10 +6,10 @@ and the CLI drive. The session owns what used to be managed ad hoc at every
 call site:
 
 * **lazy backend creation** — nothing is spawned at ``open_session``; the
-  classifier, engine and execution backend (worker pools, shared memory)
-  come up on the first chunk submitted;
+  classifier, engine and execution backend (with its lane-stripe thread
+  pool, if any) come up on the first chunk submitted;
 * **engine lifecycle** — the session is a context manager, ``close()`` is
-  idempotent, a failure inside a round closes the session (no leaked worker
+  idempotent, a failure inside a round closes the session (no leaked thread
   pools when a run dies mid-stream), and any use after ``close()`` raises;
 * **one streaming interface** — ``submit(round_chunks) -> decisions`` feeds
   one polling round through the batched wavefront; ``summary()`` reports the
@@ -83,8 +83,8 @@ def open_session(config: RunConfig) -> "ReadUntilSession":
 class ReadUntilSession:
     """Streaming Read Until runtime for one :class:`RunConfig`.
 
-    Use as a context manager (the backend's worker pools and shared memory
-    are released on exit, including exceptional exit), or call
+    Use as a context manager (the backend's thread pool is released on
+    exit, including exceptional exit), or call
     :meth:`close` explicitly. A session whose round raises is closed on the
     spot — abandoning it cannot leak backend resources — and every
     interaction after ``close()`` raises :class:`SessionClosedError`.
@@ -113,7 +113,6 @@ class ReadUntilSession:
         self._n_rounds = 0
         self._decisions: Dict[str, int] = {"accept": 0, "eject": 0}
         self._per_target_accepts: Dict[str, int] = {}
-        self._begun: set = set()
         # Observability: an enabled tracer only when the config asks for it,
         # so untraced sessions pay one `if` per hook. Round wall-clock is
         # accumulated unconditionally (two clock reads per round) because
@@ -253,11 +252,9 @@ class ReadUntilSession:
 
     # -------------------------------------------------------- streaming verbs
     def begin_read(self, read_id: str) -> None:
-        self._begun.add(read_id)
         self._ensure_classifier().begin_read(read_id)
 
     def end_read(self, read_id: str) -> None:
-        self._begun.discard(read_id)
         if self._classifier is not None and not self._closed:
             self._classifier.end_read(read_id)
 
@@ -267,10 +264,14 @@ class ReadUntilSession:
     def on_chunk_batch(self, chunks: Sequence["SignalChunk"]) -> List["Action"]:
         """Classify one polling round (the pipeline's fast path).
 
-        Any failure inside the round — a worker crash, an overflow, a bad
-        chunk — closes the session before propagating, so an abandoned run
-        never leaks worker pools or shared memory.
+        A chunk holding a NaN or infinite sample fails the whole round with
+        a ``ValueError`` naming it (``chunk[i].signal``) before any lane
+        state changes, so the session stays usable. Any other failure inside
+        the round — a kernel error, an overflow — closes the session before
+        propagating, so an abandoned run never leaks the backend's thread
+        pool.
         """
+        _require_finite_signals(chunks)
         self._acquire_writer("round submission")
         try:
             classifier = self._ensure_classifier()
@@ -290,7 +291,6 @@ class ReadUntilSession:
         for chunk, action in zip(chunks, actions):
             if not action.is_terminal:
                 continue
-            self._begun.discard(chunk.read_id)
             self._decisions[action.kind] = self._decisions.get(action.kind, 0) + 1
             if action.kind == "accept" and action.target is not None:
                 self._per_target_accepts[action.target] = (
@@ -302,19 +302,13 @@ class ReadUntilSession:
         """Feed one polling round of chunks; returns one action per chunk.
 
         The direct-drive verb for benchmarks and custom loops: unseen read
-        ids are begun automatically, then the whole round advances through
-        one batched wavefront exactly as the pipeline's fast path would.
-        A chunk holding a NaN or infinite sample fails the whole round with
-        a ``ValueError`` naming it (``chunk[i].signal``) before any lane
-        state changes, so the session stays usable.
+        ids get a lane on their first chunk, and the whole round advances
+        through one batched wavefront exactly as the pipeline's fast path
+        (:meth:`on_chunk_batch`, whose non-finite-sample check applies).
         """
         self._check_open()
-        _require_finite_signals(round_chunks)
         self._acquire_writer("submit")
         try:
-            for chunk in round_chunks:
-                if chunk.read_id not in self._begun:
-                    self.begin_read(chunk.read_id)
             return self.on_chunk_batch(round_chunks)
         finally:
             self._io_lock.release()
@@ -365,8 +359,8 @@ class ReadUntilSession:
         """Flight-recorder snapshot: every recorded span/instant, oldest first.
 
         Empty unless the config enables tracing (``trace=True`` or a
-        ``trace_path``). Worker-side spans of the multi-process backends
-        appear under their own track ids (``sharded-worker-0``, …).
+        ``trace_path``). A striped numpy backend's threads record no spans
+        of their own; their timings ride on ``backend.wavefront``.
         """
         return self._tracer.records()
 
@@ -444,7 +438,7 @@ class ReadUntilSession:
                     write_chrome_trace(self._tracer, self.config.trace_path, metadata=metadata)
             finally:
                 # An unwritable trace path must never leak the backend's
-                # worker pools; the export error propagates after teardown.
+                # thread pool; the export error propagates after teardown.
                 if self._classifier is not None:
                     self._classifier.close()
 

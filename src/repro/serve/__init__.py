@@ -9,7 +9,7 @@ advance (admission control, per-tenant round-robin fairness, ``429`` +
 ``Retry-After`` backpressure at saturation). ``/health`` and a
 Prometheus-style ``/metrics`` expose per-round latency percentiles, lane
 occupancy, per-target accept counts and pool queue depth; shutdown drains
-gracefully through the hardened worker-pool teardown.
+gracefully, releasing every backend.
 
 The transport is dependency-free (stdlib asyncio HTTP); FastAPI mounts the
 same handlers when installed (:func:`create_fastapi_app`). Decisions served

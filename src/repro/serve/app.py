@@ -26,15 +26,17 @@ Routes::
 Error mapping: config/chunk validation -> 400 (the ``RunConfig`` message,
 naming the offending field; a non-finite signal sample names its
 ``chunk[i].signal``), a malformed ``Content-Length`` -> 400 and a body
-above :data:`MAX_BODY_BYTES` -> 413 (both close the connection without
-reading the body), unknown session -> 404, closed session or
+above :data:`MAX_BODY_BYTES` -> 413, a request line longer than
+:data:`MAX_LINE_BYTES` -> 400, a longer header line or more than
+:data:`MAX_HEADERS` headers -> 431 (all of these close the connection
+without reading the body), unknown session -> 404, closed session or
 concurrent round -> 409, pool saturation -> 429 with a ``Retry-After``
 header (admission control, not failure — clients retry and no round is
 ever dropped), draining -> 503.
 
 Graceful shutdown (:meth:`ServeServer.shutdown`) drains in order: stop
 admitting requests, let queued rounds finish, close every session (which
-releases execution backends through the hardened worker-pool teardown),
+releases execution backends and their thread pools),
 then close the listening socket.
 """
 
@@ -66,6 +68,10 @@ __all__ = [
 # channels x 250 samples) is ~1.3 MB of JSON; the cap only stops a client
 # from making the server buffer an unbounded body.
 MAX_BODY_BYTES = 64 * 1024 * 1024
+# Longest request or header line (the stream reader's buffer limit) and the
+# most header lines one request may carry.
+MAX_LINE_BYTES = 64 * 1024
+MAX_HEADERS = 100
 
 _REASONS = {
     200: "OK",
@@ -74,6 +80,7 @@ _REASONS = {
     405: "Method Not Allowed",
     409: "Conflict",
     413: "Content Too Large",
+    431: "Request Header Fields Too Large",
     429: "Too Many Requests",
     500: "Internal Server Error",
     503: "Service Unavailable",
@@ -236,7 +243,7 @@ class ServeServer:
 
     async def start(self) -> "ServeServer":
         self._server = await asyncio.start_server(
-            self._serve_connection, self.host, self._requested_port
+            self._serve_connection, self.host, self._requested_port, limit=MAX_LINE_BYTES
         )
         return self
 
@@ -249,7 +256,7 @@ class ServeServer:
 
     async def shutdown(self) -> None:
         """Drain gracefully: refuse new work, finish the backlog, close all
-        sessions (hardened worker-pool teardown underneath), stop listening."""
+        sessions (releasing their backends), stop listening."""
         self.app.draining = True
         await self.pool.close(drain=True)
         await self.manager.drain()
@@ -330,10 +337,20 @@ def _content_length(value: str) -> int:
     return int(digits)
 
 
+async def _read_line(reader: asyncio.StreamReader, status: int, what: str) -> bytes:
+    """One CRLF-terminated line; ``status`` when it overruns the reader's limit."""
+    try:
+        return await reader.readline()
+    except ValueError:  # StreamReader.readline's limit overrun
+        raise _BadRequest(
+            status, f"{what}: the line exceeds the {MAX_LINE_BYTES}-byte limit"
+        ) from None
+
+
 async def _read_request(
     reader: asyncio.StreamReader,
 ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
-    request_line = await reader.readline()
+    request_line = await _read_line(reader, 400, "request line")
     if not request_line or request_line in (b"\r\n", b"\n"):
         return None
     try:
@@ -341,10 +358,12 @@ async def _read_request(
     except ValueError:
         return None
     headers: Dict[str, str] = {}
-    while True:
-        line = await reader.readline()
+    for count in range(MAX_HEADERS + 1):
+        line = await _read_line(reader, 431, "header")
         if line in (b"\r\n", b"\n", b""):
             break
+        if count == MAX_HEADERS:
+            raise _BadRequest(431, f"headers: more than {MAX_HEADERS} header lines")
         name, _, value = line.decode("latin-1").partition(":")
         headers[name.strip().lower()] = value.strip()
     length = _content_length(headers.get("content-length", ""))

@@ -15,8 +15,7 @@ lifecycle keyed by session id:
   :class:`~repro.serve.pool.BackendPool`, and folds the outcome into the
   metrics registry;
 * **close** captures the final summary before the session releases its
-  execution backend (summaries are unavailable after close), reusing the
-  hardened worker-pool teardown underneath.
+  execution backend (summaries are unavailable after close).
 
 Wire format: chunks arrive as ``{"read_id", "signal", "chunk_start_sample",
 "channel", "read_number", "is_last"}`` mappings; actions return every

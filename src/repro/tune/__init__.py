@@ -1,6 +1,6 @@
 """repro.tune — the self-tuning runtime.
 
-Backend choice, worker counts, column tiling and the exactness-preserving
+Backend choice, thread counts, column tiling and the exactness-preserving
 prune/lower-bound layers all have workload- and host-dependent payoffs.
 This package picks the operating point automatically, µ-cuDNN style:
 

@@ -83,7 +83,7 @@ def host_fingerprint() -> Dict[str, Any]:
     """The host-side half of the cache key, as a stable mapping.
 
     Everything here is cheap to read and deterministic across processes on
-    one machine: logical core count (sizes the worker-pool candidates),
+    one machine: logical core count (sizes the thread-count candidates),
     platform triple, interpreter version (major.minor — patch releases do
     not move kernels), numpy version and BLAS name.
     """

@@ -319,11 +319,11 @@ def run_probe(
 ) -> ProbeResult:
     """Replay the workload through one candidate point and measure it.
 
-    Engine construction (worker-pool spawn for the process backends) stays
+    Engine construction (the thread pool for striped candidates) stays
     outside the timed region — pools are persistent in deployment, paid
     once per run, not once per round. Timing comes from the obs tracer's
-    phase totals (parent-track self times decompose the traced wall clock
-    exactly), the same accounting the benchmark reports use. A candidate
+    phase totals (self times decompose the traced wall clock exactly), the
+    same accounting the benchmark reports use. A candidate
     that raises — a backend whose import probe passed but whose runtime
     dependency is broken — returns an error result instead of propagating:
     tuning degrades, it never takes the session down.
@@ -365,10 +365,7 @@ def run_probe(
         for round_chunks in workload.rounds:
             engine.step(list(enumerate(round_chunks)))
         elapsed = time.perf_counter() - start
-        tracks = tracer.tracks()
-        phase_s = sum(
-            stat.self_s for stat in tracer.phase_totals(tracks[0]).values()
-        ) if tracks else 0.0
+        phase_s = sum(stat.self_s for stat in tracer.phase_totals().values())
         seconds = max(phase_s or elapsed, 1e-9)
         advanced = int(engine.cells_advanced)
         pruned = int(engine.cells_pruned)

@@ -13,8 +13,8 @@ lb_cascade)`` points drawn from:
 * **hardware seeds** — ``tile_columns`` candidates from the detected L2
   size (the reason column tiling exists: keep the per-step column working
   set cache-resident) and ``workers`` candidates from ``os.cpu_count()``
-  (multi-process backends are only candidates when there is more than one
-  core to shard across);
+  (lane-striped numpy threads are only candidates when there is more than
+  one core to stripe across);
 * **the exactness-preserving layers** — ``prune`` and ``prune+lb_cascade``
   variants of the in-process backends; both preserve accept/eject decisions
   bit for bit, so the tuner is free to turn them on whenever the probe says
@@ -124,7 +124,7 @@ def _tile_seed(shape: WorkloadShape) -> Optional[int]:
 
 
 def _worker_seeds() -> List[int]:
-    """Worker counts worth probing for the multi-process backends."""
+    """Thread counts worth probing for the numpy backend's lane stripes."""
     cpu = int(os.cpu_count() or 1)
     if cpu < 2:
         return []
@@ -140,7 +140,7 @@ def generate_candidates(shape: WorkloadShape) -> List[ProbeResult]:
     in-process brute force (the deployment default), its pruned and gated
     variants (big wins on mixed workloads, measured here on the mixed probe
     workload), the native kernel when installed, then tiling and the
-    multi-process backends.
+    lane-striped numpy threads.
     """
     installed = installed_backends()
     candidates: List[ProbeResult] = []
@@ -159,8 +159,7 @@ def generate_candidates(shape: WorkloadShape) -> List[ProbeResult]:
         add("numpy", tile_columns=tile)
         add("native", tile_columns=tile)
     for workers in _worker_seeds():
-        add("sharded", workers=workers)
-        add("colsharded", workers=workers)
+        add("numpy", workers=workers)
     return candidates
 
 

@@ -2,9 +2,10 @@
 
 The contract under test: the lane manager (:class:`BatchSDTWEngine`) treats
 backends as interchangeable — every cost, row, snapshot and Read Until
-decision is bit-identical whether the lane-stacked state advances in-process
-(``numpy``) or striped across worker processes (``sharded``), across lane
-churn, capacity growth and ragged chunk schedules.
+decision is bit-identical whether the lane-stacked state advances serially
+(``numpy``) or with its lanes sharded into stripes advanced on a thread pool
+(``numpy`` with ``workers``), across lane churn, capacity growth and ragged
+chunk schedules.
 """
 
 import numpy as np
@@ -13,9 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.batch.backends import (
-    ColumnShardedBackend,
     NumpyBackend,
-    ShardedProcessBackend,
     available_backends,
     create_backend,
     register_backend,
@@ -31,12 +30,27 @@ from repro.pipeline.read_until import ReadUntilPipeline
 from repro.runtime import RunConfig
 from repro.sequencer.reads import ReadGenerator, ReadLengthModel
 
-# (backend name, factory options) pairs every backend-agnostic test runs over.
-BACKENDS = [("numpy", None), ("sharded", {"workers": 2})]
+# (backend name, factory options) pairs every backend-agnostic test runs over:
+# serial, lanes striped over two threads, and over three threads that also
+# tile the columns.
+BACKENDS = [
+    ("numpy", None),
+    ("numpy", {"workers": 2}),
+    ("numpy", {"workers": 3, "tile_columns": 17}),
+]
 
-# Configuration classes with distinct execution paths: the int32 shared-memory
-# fast path, a no-bonus integer config, a float config, a fractional bonus.
-SHARDED_CONFIGS = [
+# The flowcell replays below run 400-sample chunks against a ~2400-column
+# reference; 17-column tiles would recompute a 400-column halo per tile, so
+# the striped-and-tiled row uses a tile width sized for that reference.
+FLOWCELL_BACKENDS = [
+    ("numpy", None),
+    ("numpy", {"workers": 2}),
+    ("numpy", {"workers": 3, "tile_columns": 600}),
+]
+
+# Configuration classes with distinct execution paths: the int32 fast path,
+# a no-bonus integer config, a float config, a fractional bonus.
+STRIPED_CONFIGS = [
     SDTWConfig.hardware(),
     SDTWConfig(distance="absolute", allow_reference_deletions=False, quantize=True, match_bonus=0.0),
     SDTWConfig(distance="squared", allow_reference_deletions=False, quantize=False, match_bonus=0.0),
@@ -54,7 +68,7 @@ def make_engine(reference, config=None, backend="numpy", options=None, **kwargs)
 class TestBackendRegistry:
     def test_all_backends_registered(self):
         names = available_backends()
-        assert "numpy" in names and "sharded" in names and "colsharded" in names
+        assert "numpy" in names and "native" in names
 
     def test_create_by_name(self, rng):
         reference = rng.integers(-127, 128, 30)
@@ -72,7 +86,7 @@ class TestBackendRegistry:
             make_engine(rng.integers(-127, 128, 30), backend="tpu")
 
     def test_registry_lists_exactly_the_built_in_backends(self):
-        assert available_backends() == ("colsharded", "native", "numpy", "sharded")
+        assert available_backends() == ("native", "numpy")
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError, match="already registered"):
@@ -92,9 +106,9 @@ class TestBackendRegistry:
 
     def test_engine_reports_backend_name(self, rng):
         reference = rng.integers(-127, 128, 30)
-        with make_engine(reference, backend="sharded", options={"workers": 2}) as engine:
-            assert engine.backend_name == "sharded"
-            assert engine.backend.n_workers == 2
+        with make_engine(reference, backend="numpy", options={"workers": 2}) as engine:
+            assert engine.backend_name == "numpy"
+            assert engine.backend.workers == 2
 
 
 # -------------------------------------------------------------- bit identity
@@ -113,7 +127,8 @@ class TestBackendBitIdentity:
     @backend_settings
     @given(queries=lane_queries, data=st.data())
     def test_sharded_matches_numpy_and_scalar_over_ragged_rounds(self, queries, data):
-        """The acceptance property: identical rows/costs/ends on every backend
+        """The acceptance property: identical rows/costs/ends serial and
+        lane-sharded (striped over threads, with and without column tiling)
         across ragged chunk schedules, including admissions mid-session."""
         n_rounds = data.draw(st.integers(min_value=1, max_value=3))
         seed = data.draw(st.integers(min_value=0, max_value=2**31))
@@ -161,7 +176,40 @@ class TestBackendBitIdentity:
             for engine in engines:
                 engine.close()
 
-    @pytest.mark.parametrize("config", SHARDED_CONFIGS)
+    def test_striped_stress_matches_serial(self, rng):
+        """More stripe threads than cores under a short switch interval:
+        every round's costs, the resident rows and the merged cell counts
+        match the serial backend, so no stripe lost a write."""
+        import sys
+        import time
+
+        config = SDTWConfig.hardware()
+        reference = rng.integers(-127, 128, 300)
+        serial = NumpyBackend(reference, config, capacity=64)
+        striped = NumpyBackend(reference, config, capacity=64, workers=8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            deadline = time.monotonic() + 30.0
+            for _ in range(30):
+                lanes = rng.choice(64, size=int(rng.integers(2, 65)), replace=False)
+                queries = [rng.integers(-127, 128, int(rng.integers(0, 20))) for _ in lanes]
+                expected_costs, expected_ends = serial.advance(lanes, queries)
+                costs, ends = striped.advance(lanes, queries)
+                assert np.array_equal(costs, expected_costs)
+                assert np.array_equal(ends, expected_ends)
+                assert time.monotonic() < deadline
+        finally:
+            sys.setswitchinterval(interval)
+            striped.close()
+        every = np.arange(64)
+        assert np.array_equal(striped.gather(every).rows, serial.gather(every).rows)
+        assert np.array_equal(
+            striped.gather(every).samples_processed, serial.gather(every).samples_processed
+        )
+        assert striped.stats.cells_advanced == serial.stats.cells_advanced
+
+    @pytest.mark.parametrize("config", STRIPED_CONFIGS)
     def test_sharded_matches_scalar_across_configs(self, config, rng):
         reference = (
             rng.integers(-127, 128, 80) if config.quantize else rng.normal(size=80)
@@ -173,7 +221,7 @@ class TestBackendBitIdentity:
             for n in (5, 17, 31)
         ]
         with make_engine(
-            reference, config, backend="sharded", options={"workers": 2}
+            reference, config, backend="numpy", options={"workers": 2}
         ) as engine:
             scalar = [None] * len(queries)
             for start in range(0, 31, 11):
@@ -195,14 +243,14 @@ class TestBackendBitIdentity:
         """SquiggleFilter.classify_batch(run_config=...) changes execution only."""
         squiggle_filter = SquiggleFilter(reference_squiggle, prefix_samples=500)
         signals = list(target_signals) + list(nontarget_signals)
-        sharded = RunConfig(backend="sharded", workers=2)
+        threaded = RunConfig(backend="numpy", workers=2)
         numpy_decisions = squiggle_filter.classify_batch(signals, threshold=1e12)
-        sharded_decisions = squiggle_filter.classify_batch(
-            signals, threshold=1e12, run_config=sharded
+        threaded_decisions = squiggle_filter.classify_batch(
+            signals, threshold=1e12, run_config=threaded
         )
-        assert sharded_decisions == numpy_decisions
+        assert threaded_decisions == numpy_decisions
         assert squiggle_filter.cost_batch(
-            signals, run_config=sharded
+            signals, run_config=threaded
         ) == squiggle_filter.cost_batch(signals)
 
     def test_multistage_classify_batch_backend_parameter(
@@ -213,7 +261,7 @@ class TestBackendBitIdentity:
         )
         signals = list(target_signals) + list(nontarget_signals)
         assert multistage.classify_batch(
-            signals, run_config=RunConfig(backend="sharded", workers=2)
+            signals, run_config=RunConfig(backend="numpy", workers=2)
         ) == multistage.classify_batch(signals)
 
 
@@ -338,22 +386,20 @@ class TestIdleRounds:
 class TestBackendLifecycle:
     def test_close_is_idempotent_and_final(self, rng):
         reference = rng.integers(-127, 128, 30)
-        engine = make_engine(reference, backend="sharded", options={"workers": 2})
+        engine = make_engine(reference, backend="numpy", options={"workers": 2})
         engine.step([("a", rng.integers(-127, 128, 5))])
         engine.close()
         engine.close()
-        with pytest.raises(RuntimeError, match="closed"):
-            engine.backend.advance(np.array([0]), [rng.integers(-127, 128, 3)])
+        with pytest.raises(RuntimeError, match="shutdown"):
+            engine.backend.advance(np.array([0, 1]), [rng.integers(-127, 128, 3)] * 2)
 
     def test_engine_owns_created_backend_but_borrows_instances(self, rng):
         reference = rng.integers(-127, 128, 30)
-        backend = ShardedProcessBackend(
-            reference, SDTWConfig.hardware(), capacity=4, workers=2
-        )
+        backend = NumpyBackend(reference, SDTWConfig.hardware(), capacity=4, workers=2)
         engine = make_engine(reference, backend=backend)
         engine.close()  # borrowed: must NOT shut the backend down
-        costs, _ = backend.advance(np.array([0]), [rng.integers(-127, 128, 3)])
-        assert costs.shape == (1, 1)  # (lanes, panel blocks)
+        costs, _ = backend.advance(np.array([0, 1]), [rng.integers(-127, 128, 3)] * 2)
+        assert costs.shape == (2, 1)  # (lanes, panel blocks)
         backend.close()
 
     def test_classifier_close_releases_engine(self, reference_squiggle):
@@ -361,88 +407,46 @@ class TestBackendLifecycle:
             reference_squiggle,
             threshold=1e9,
             prefix_samples=400,
-            run_config=RunConfig(backend="sharded", workers=2),
+            run_config=RunConfig(backend="numpy", workers=2),
         )
-        assert classifier.backend_name == "sharded"
+        assert classifier.backend_name == "numpy"
         classifier.close()
-        with pytest.raises(RuntimeError, match="closed"):
-            classifier.engine.backend.advance(np.array([0]), [np.arange(3)])
-
-    def test_advance_error_does_not_desync_the_reply_protocol(self, rng):
-        """A failing shard must not leave other shards' replies unread: the
-        next advance would otherwise consume a stale reply and return the
-        previous round's costs for this round's lanes."""
-        reference = rng.integers(-127, 128, 40)
-        config = SDTWConfig.hardware()
-        backend = ShardedProcessBackend(reference, config, capacity=2, workers=2)
-        try:
-            good = rng.integers(-127, 128, 8)
-            bad = rng.integers(-127, 128, (2, 2))  # 2-D: the kernel rejects it
-            with pytest.raises(RuntimeError, match="failed"):
-                backend.advance(np.array([0, 1]), [bad, good])
-            # Shard 1 already applied the round; the pipes are back in sync,
-            # so continuing on the healthy lanes yields exact results.
-            follow_up = rng.integers(-127, 128, 5)
-            costs, ends = backend.advance(np.array([1]), [follow_up])
-            expected = sdtw_resume(
-                follow_up, reference, config, state=sdtw_resume(good, reference, config)
-            )
-            assert costs[0, 0] == expected.cost
-            assert ends[0, 0] == expected.end_position
-        finally:
-            backend.close()
+        with pytest.raises(RuntimeError, match="shutdown"):
+            classifier.engine.backend.advance(np.array([0, 1]), [np.arange(3)] * 2)
 
     def test_sharded_workers_must_be_positive(self, rng):
+        """Lane-sharding thread counts must be positive."""
         with pytest.raises(ValueError, match="workers"):
-            ShardedProcessBackend(
+            NumpyBackend(
                 rng.integers(-127, 128, 20), SDTWConfig.hardware(), capacity=2, workers=0
             )
 
-    @pytest.mark.parametrize("cls", [ShardedProcessBackend, ColumnShardedBackend])
-    def test_close_after_abandoned_round_and_dead_worker(self, cls, rng):
-        """Regression (teardown robustness): a session abandoned mid-round —
-        one shard holding an unconsumed (error) reply, another shard's
-        process dead — must close without hanging and unlink every
-        shared-memory segment."""
-        import time
-        from multiprocessing import shared_memory
-
-        reference = rng.integers(-127, 128, 40)
-        backend = cls(reference, SDTWConfig.hardware(), capacity=4, workers=2)
-        backend.stop_timeout_s = 3.0
-        block_names = [block.name for block in backend._blocks]
-        # Abandon a round mid-flight: a malformed request the worker answers
-        # with an error reply nobody consumes...
-        backend._conns[0].send(("advance", "garbage"))
-        time.sleep(0.2)
-        # ...while the other worker dies outright.
-        backend._processes[1].kill()
-        backend._processes[1].join(timeout=5.0)
-        start = time.monotonic()
-        backend.close()
-        assert time.monotonic() - start < 10.0
-        for name in block_names:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
-        backend.close()  # still idempotent after the messy teardown
+    def test_serial_backend_creates_no_thread_pool(self, rng):
+        reference = rng.integers(-127, 128, 20)
+        for workers in (None, 1):
+            backend = NumpyBackend(reference, SDTWConfig.hardware(), capacity=2, workers=workers)
+            assert backend._executor is None
+            backend.close()
 
     def test_close_after_worker_exception_mid_round(self, rng):
-        """A shard that raised during advance leaves the protocol desynced
-        for that round; close() must still drain it and release cleanly."""
-        from multiprocessing import shared_memory
-
+        """A stripe whose kernel raises surfaces the error only after every
+        stripe joined: the other stripe's lanes advanced exactly, and the
+        backend keeps working and closes cleanly."""
         reference = rng.integers(-127, 128, 40)
-        backend = ShardedProcessBackend(
-            reference, SDTWConfig.hardware(), capacity=2, workers=2
-        )
-        block_names = [block.name for block in backend._blocks]
+        config = SDTWConfig.hardware()
+        backend = NumpyBackend(reference, config, capacity=4, workers=2)
+        good = rng.integers(-127, 128, 8)
         bad = rng.integers(-127, 128, (2, 2))  # 2-D: the kernel rejects it
-        with pytest.raises(RuntimeError, match="failed"):
-            backend.advance(np.array([0, 1]), [bad, bad])
+        with pytest.raises(ValueError):
+            backend.advance(np.array([0, 1]), [bad, good])
+        follow_up = rng.integers(-127, 128, 5)
+        costs, ends = backend.advance(np.array([1, 2]), [follow_up, good])
+        expected = sdtw_resume(
+            follow_up, reference, config, state=sdtw_resume(good, reference, config)
+        )
+        assert costs[0, 0] == expected.cost
+        assert ends[0, 0] == expected.end_position
         backend.close()
-        for name in block_names:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
 
 
 # ------------------------------------------------------- pipeline + spec + CLI
@@ -466,13 +470,14 @@ def backend_threshold(reference_squiggle, target_signals, nontarget_signals):
 
 
 class TestShardedPipeline:
+    """Lane-sharded (thread-striped) execution through the pipeline layer."""
     def test_seeded_flowcell_decisions_identical_across_backends(
         self, reference_squiggle, target_genome, backend_threshold, backend_flowcell_reads
     ):
         """Acceptance: bit-identical accept/eject decisions on the seeded
-        8-channel flowcell, numpy vs sharded."""
-        decisions = {}
-        for backend, options in BACKENDS:
+        8-channel flowcell, serial vs lane-striped threads."""
+        decisions = []
+        for backend, options in FLOWCELL_BACKENDS:
             with BatchSquiggleClassifier(
                 reference_squiggle,
                 threshold=backend_threshold,
@@ -488,16 +493,16 @@ class TestShardedPipeline:
                     batch=True,
                 ).run(backend_flowcell_reads)
             assert result.streaming["backend"] == backend
-            decisions[backend] = {
+            decisions.append({
                 outcome.read.read_id: (
                     outcome.ejected,
                     outcome.decision.cost if outcome.decision else None,
                     outcome.decision.samples_used if outcome.decision else None,
                 )
                 for outcome in result.session.outcomes
-            }
-        assert decisions["sharded"] == decisions["numpy"]
-        assert len(decisions["numpy"]) == len(backend_flowcell_reads)
+            })
+        assert all(other == decisions[0] for other in decisions[1:])
+        assert len(decisions[0]) == len(backend_flowcell_reads)
 
     def test_seeded_flowcell_decisions_identical_with_pruning(
         self, reference_squiggle, target_genome, backend_threshold, backend_flowcell_reads
@@ -533,11 +538,7 @@ class TestShardedPipeline:
         ) as classifier:
             brute = run_flowcell(classifier)
 
-        pruned_backends = [
-            ("numpy", {}),
-            ("sharded", {"workers": 2}),
-            ("colsharded", {"workers": 2}),
-        ]
+        pruned_backends = [(name, dict(options or {})) for name, options in FLOWCELL_BACKENDS]
         if numba_available():
             # The compiled scalar kernel is CI-only; without Numba the
             # native backend is covered by the jit=False property harness
@@ -572,16 +573,17 @@ class TestShardedPipeline:
                     "prefix_samples": 800,
                 },
                 "target_genome": target_genome,
-                "backend": "sharded",
+                "backend": "numpy",
                 "backend_options": {"workers": 2},
                 "batch": True,
                 "assemble": False,
             }
         )
         try:
-            assert pipeline.classifier.backend_name == "sharded"
+            assert pipeline.classifier.backend_name == "numpy"
+            assert pipeline.classifier.engine.backend.workers == 2
             result = pipeline.run(backend_flowcell_reads[:8])
-            assert result.streaming["backend"] == "sharded"
+            assert result.streaming["backend"] == "numpy"
             assert result.streaming["batched"] is True
         finally:
             pipeline.classifier.close()
@@ -599,13 +601,14 @@ class TestCliBackend:
     ]
 
     def test_backend_flag_runs_sharded_session(self, capsys):
+        """--workers shards each round's lanes over threads."""
         from repro.cli import main
 
-        exit_code = main(self.CLI_ARGS + ["--backend", "sharded", "--workers", "2"])
+        exit_code = main(self.CLI_ARGS + ["--backend", "numpy", "--workers", "2"])
         assert exit_code == 0
         output = capsys.readouterr().out
         assert "batch_squigglefilter" in output
-        assert "sharded" in output
+        assert "numpy" in output
 
     def test_backend_flag_implies_batch_classifier(self, capsys):
         from repro.cli import main
@@ -616,31 +619,33 @@ class TestCliBackend:
         assert "numpy" in output
 
     def test_workers_require_sharded_backend(self, capsys):
+        """Only the numpy backend shards lanes over threads: --workers is
+        refused for 'native'."""
         from repro.cli import main
 
-        # RunConfig validation owns the cross-field check now, so the error
+        # RunConfig validation owns the cross-field check, so the error
         # names the offending field instead of a flag.
-        assert main(self.CLI_ARGS + ["--workers", "2"]) == 2
+        assert main(self.CLI_ARGS + ["--backend", "native", "--workers", "2"]) == 2
         assert "workers" in capsys.readouterr().err
 
     def test_workers_flag_combines_with_config_file_backend(self, tmp_path, capsys):
-        """Regression: --workers without --backend is valid when the config
-        file names a multi-process backend."""
+        """Regression: --workers without --backend applies to the backend
+        the config file names."""
         import json
 
         from repro.cli import main
 
         path = tmp_path / "run.json"
-        path.write_text(json.dumps({"backend": "sharded"}))
+        path.write_text(json.dumps({"backend": "numpy"}))
         exit_code = main(
             self.CLI_ARGS + ["--config", str(path), "--workers", "2"]
         )
         assert exit_code == 0
-        assert "sharded" in capsys.readouterr().out
+        assert "numpy" in capsys.readouterr().out
 
     def test_backend_requires_squigglefilter_family(self, capsys):
         from repro.cli import main
 
-        exit_code = main(["read-until", "--backend", "sharded", "--classifier", "multistage"])
+        exit_code = main(["read-until", "--backend", "numpy", "--classifier", "multistage"])
         assert exit_code == 2
         assert "--backend requires" in capsys.readouterr().err

@@ -3,10 +3,10 @@
 Four layers, mirroring the subsystem:
 
 * **Tracer** — span nesting and the self-time decomposition invariant
-  (per track, phase self times partition root-span wall clock exactly),
-  the bounded flight recorder vs the accumulating phase totals, worker
-  record merging, and the disabled path (one shared no-op span, nothing
-  recorded).
+  (phase self times partition root-span wall clock exactly), the bounded
+  flight recorder vs the accumulating phase totals, span arguments added
+  at close (``annotate``), and the disabled path (one shared no-op span,
+  nothing recorded).
 * **Export** — Chrome trace-event/Perfetto documents: structural
   validation (required keys, non-negative timings, no same-lane overlap),
   both accepted file forms, and the per-phase table the ``repro trace``
@@ -16,8 +16,9 @@ Four layers, mirroring the subsystem:
 * **Sessions** — the acceptance property: on every registered execution
   backend, a traced seeded flowcell decides bit-identically to an
   untraced one; traced runs surface ``session.trace()``, per-phase
-  summary totals, distinct worker-process tracks under the sharded
-  backends, and a valid exported trace file via ``trace_path``.
+  summary totals, stripe timings on ``backend.wavefront`` when the numpy
+  backend stripes lanes over threads, and a valid exported trace file via
+  ``trace_path``.
 """
 
 import json
@@ -32,8 +33,8 @@ from repro.obs import (
     load_trace,
     phase_table,
     records_to_events,
+    stripe_summary,
     validate_trace,
-    worker_span,
     write_chrome_trace,
 )
 from repro.pipeline.read_until import ReadUntilPipeline
@@ -43,11 +44,10 @@ from repro.sequencer.reads import ReadGenerator, ReadLengthModel
 # Same matrix as tests/test_runtime_session.py.
 OBS_BACKENDS = [
     ("numpy", {}),
-    ("sharded", {"workers": 2}),
-    ("colsharded", {"workers": 2}),
+    ("numpy", {"workers": 2}),
+    ("numpy", {"workers": 3, "tile_columns": 600}),
 ]
-
-WORKER_BACKENDS = {"sharded", "colsharded"}
+OBS_BACKEND_IDS = ["numpy", "numpy-workers2", "numpy-workers3-tiled"]
 
 
 # ---------------------------------------------------------------- tracer
@@ -99,32 +99,22 @@ class TestTracer:
         assert tracer.count("round") == 10
         assert tracer.total_s("round") > 0.0
 
-    def test_merge_worker_records_lands_on_their_own_track(self):
-        tracer = Tracer(track="parent")
-        with tracer.span("backend.advance"):
-            pass
-        tracer.merge_worker_records(
-            [
-                worker_span("worker.wavefront", 10.0, 10.5, depth=1),
-                worker_span("worker.advance", 10.0, 10.75, child_s=0.5),
-            ],
-            track="worker-0",
-        )
-        assert tracer.tracks() == ("parent", "worker-0")
-        worker_phases = tracer.phase_totals("worker-0")
-        assert worker_phases["worker.advance"].total_s == pytest.approx(0.75)
-        assert worker_phases["worker.advance"].self_s == pytest.approx(0.25)
-        assert worker_phases["worker.wavefront"].self_s == pytest.approx(0.5)
-        # The accumulating view covers both tracks.
-        assert tracer.count("worker.wavefront") == 1
-        assert tracer.count("backend.advance") == 1
+    def test_annotate_adds_args_known_at_close(self):
+        tracer = Tracer()
+        with tracer.span("backend.wavefront", stripes=2) as span:
+            span.annotate(stripe_max_s=0.5, stripe_min_s=0.25)
+        with tracer.span("plain") as span:
+            span.annotate(late=True)
+        wavefront, plain = tracer.records()
+        assert wavefront.args == {"stripes": 2, "stripe_max_s": 0.5, "stripe_min_s": 0.25}
+        assert plain.args == {"late": True}
 
     def test_disabled_tracer_is_a_shared_noop(self):
         tracer = Tracer(enabled=False)
         assert tracer.span("a") is tracer.span("b")
-        with tracer.span("a", key="value"):
+        with tracer.span("a", key="value") as span:
             tracer.instant("event")
-        tracer.merge_worker_records([worker_span("w", 0.0, 1.0)], track="x")
+            span.annotate(late=True)
         assert len(tracer) == 0
         assert tracer.phase_totals() == {}
         assert len(NULL_TRACER) == 0
@@ -146,13 +136,9 @@ class TestTracer:
 def _sample_tracer():
     tracer = Tracer(track="main")
     with tracer.span("round"):
-        with tracer.span("advance"):
-            pass
+        with tracer.span("backend.wavefront", stripes=2) as span:
+            span.annotate(stripe_max_s=0.004, stripe_min_s=0.001)
         tracer.instant("retire", lane=1)
-    tracer.merge_worker_records(
-        [worker_span("worker.advance", tracer.records()[0].start_s, tracer.records()[0].end_s)],
-        track="worker-0",
-    )
     return tracer
 
 
@@ -160,9 +146,9 @@ class TestExport:
     def test_records_to_events_shape(self):
         events = records_to_events(_sample_tracer().records())
         metadata = [e for e in events if e["ph"] == "M"]
-        assert {e["args"]["name"] for e in metadata} == {"main", "worker-0"}
+        assert {e["args"]["name"] for e in metadata} == {"main"}
         spans = [e for e in events if e["ph"] == "X"]
-        assert {e["name"] for e in spans} == {"round", "advance", "worker.advance"}
+        assert {e["name"] for e in spans} == {"round", "backend.wavefront"}
         instants = [e for e in events if e["ph"] == "i"]
         assert instants[0]["name"] == "retire"
         assert instants[0]["s"] == "t"
@@ -175,10 +161,17 @@ class TestExport:
         document = load_trace(str(path))
         assert document["metadata"] == {"backend": "numpy"}
         complete = validate_trace(document)
-        assert {e["name"] for e in complete} == {"round", "advance", "worker.advance"}
+        assert {e["name"] for e in complete} == {"round", "backend.wavefront"}
         rows = phase_table(document)
         assert sum(row["share"] for row in rows) == pytest.approx(1.0)
-        assert {row["phase"] for row in rows} == {"round", "advance", "worker.advance"}
+        assert {row["phase"] for row in rows} == {"round", "backend.wavefront"}
+        assert stripe_summary(document) == {
+            "spans": 1,
+            "stripes": 2,
+            "slowest_s": 0.004,
+            "fastest_s": 0.001,
+            "idle_tail_s": pytest.approx(0.003),
+        }
 
     def test_load_trace_accepts_bare_event_arrays(self, tmp_path):
         path = tmp_path / "bare.json"
@@ -313,9 +306,7 @@ def untraced_baseline(
 
 
 class TestTracedSessions:
-    @pytest.mark.parametrize(
-        "backend,extra", OBS_BACKENDS, ids=[b for b, _ in OBS_BACKENDS]
-    )
+    @pytest.mark.parametrize("backend,extra", OBS_BACKENDS, ids=OBS_BACKEND_IDS)
     def test_tracing_never_changes_decisions(
         self,
         backend,
@@ -334,7 +325,6 @@ class TestTracedSessions:
             result = session.run(obs_flowcell_reads, target_genome=target_genome)
             records = session.trace()
             summary = session.summary()
-            tracks = session.tracer.tracks()
         assert _decision_fields(result) == untraced_baseline, backend
 
         names = {record.name for record in records}
@@ -351,10 +341,18 @@ class TestTracedSessions:
         assert summary["round_wall_s"] > 0.0
         assert summary["n_polls"] >= summary["busy_rounds"] > 0
 
-        if backend in WORKER_BACKENDS:
-            worker_tracks = [t for t in tracks if t.startswith(f"{backend}-worker-")]
-            assert len(worker_tracks) >= 1, tracks
-            assert any(r.name == "worker.wavefront" for r in records)
+        # One track: the stripe threads never write to the tracer. Striped
+        # rounds carry their stripe timings on the backend.wavefront span.
+        assert {r.track for r in records} == {"session"}
+        wavefronts = [r for r in records if r.name == "backend.wavefront"]
+        striped = [r.args for r in wavefronts if r.args and "stripes" in r.args]
+        if "workers" in extra:
+            assert striped
+            for args in striped:
+                assert 2 <= args["stripes"] <= extra["workers"]
+                assert args["stripe_max_s"] >= args["stripe_min_s"] > 0.0
+        else:
+            assert not striped
 
     def test_untraced_session_records_nothing(
         self, reference_squiggle, target_genome, obs_threshold, obs_flowcell_reads
@@ -369,7 +367,7 @@ class TestTracedSessions:
         assert summary["round_wall_s"] > 0.0
         assert summary["busy_rounds"] > 0
 
-    def test_trace_path_exports_worker_tracks_on_close(
+    def test_trace_path_exports_stripe_args_on_close(
         self,
         tmp_path,
         reference_squiggle,
@@ -377,11 +375,11 @@ class TestTracedSessions:
         obs_threshold,
         obs_flowcell_reads,
     ):
-        path = tmp_path / "sharded.json"
+        path = tmp_path / "striped.json"
         config = _session_config(
             reference_squiggle,
             obs_threshold,
-            backend="sharded",
+            backend="numpy",
             workers=2,
             trace_path=str(path),
             label="obs-test",
@@ -389,11 +387,16 @@ class TestTracedSessions:
         with open_session(config) as session:
             session.run(obs_flowcell_reads, target_genome=target_genome)
         document = load_trace(str(path))
-        assert document["metadata"]["backend"] == "sharded"
+        assert document["metadata"]["backend"] == "numpy"
         assert document["metadata"]["label"] == "obs-test"
         complete = validate_trace(document)
-        # Parent track plus at least one worker-process track.
-        assert len({event["tid"] for event in complete}) >= 2
+        assert len({event["tid"] for event in complete}) == 1
+        stripes = stripe_summary(document)
+        assert stripes is not None and stripes["stripes"] == 2
+        assert stripes["slowest_s"] >= stripes["fastest_s"] > 0.0
+        assert stripes["idle_tail_s"] == pytest.approx(
+            stripes["slowest_s"] - stripes["fastest_s"]
+        )
 
     def test_pipeline_batch_path_and_session_share_the_tracer(
         self, reference_squiggle, target_genome, obs_threshold, obs_flowcell_reads
@@ -422,9 +425,13 @@ class TestTraceCli:
         write_chrome_trace(_sample_tracer(), str(path))
         assert main(["trace", str(path)]) == 0
         out = capsys.readouterr().out
-        assert "spans on 2 track(s)" in out
+        assert "spans on 1 track(s)" in out
         assert "phase" in out and "self %" in out
-        assert "worker.advance" in out
+        assert "backend.wavefront" in out
+        assert (
+            "striped wavefronts: 1 spans, up to 2 stripes; slowest stripe "
+            "4.000 ms, fastest 1.000 ms, idle tail 3.000 ms"
+        ) in out
 
     def test_trace_subcommand_rejects_invalid_files(self, tmp_path, capsys):
         from repro.cli import main

@@ -28,12 +28,18 @@ from repro.runtime import (
 from repro.sequencer.read_until_api import SignalChunk
 from repro.sequencer.reads import ReadGenerator, ReadLengthModel
 
-# Execution backends the acceptance property runs over.
+# Execution backends the acceptance property runs over: serial, lanes striped
+# over threads, and striped lanes that each tile their columns. The sessions
+# feed 400-sample chunks, and a tile recomputes a halo of one chunk length,
+# so the tile is sized for the ~2400-column reference rather than a few
+# columns (the kernel-level suites cover narrow tiles).
 SESSION_BACKENDS = [
     ("numpy", {}),
-    ("sharded", {"workers": 2}),
-    ("colsharded", {"workers": 2}),
+    ("numpy", {"workers": 2}),
+    ("numpy", {"workers": 3, "tile_columns": 600}),
 ]
+# Ids name the lane stripes ("sharded-lanes") and the column tile width.
+SESSION_BACKEND_IDS = ["numpy-extra0", "sharded-lanes-workers2", "cols600-workers3"]
 
 
 def session_config(reference, threshold, **overrides):
@@ -54,12 +60,12 @@ class TestRunConfigValidation:
         "kwargs,field",
         [
             (dict(backend="tpu"), "backend"),
-            (dict(backend="sharded", workers=0), "workers"),
-            (dict(backend="sharded", workers=-3), "workers"),
-            (dict(backend="numpy", workers=2), "workers"),
+            (dict(backend="numpy", workers=0), "workers"),
+            (dict(backend="numpy", workers=-3), "workers"),
+            (dict(backend="native", workers=2), "workers"),
             (dict(tile_columns=0), "tile_columns"),
             (dict(tile_columns=-16), "tile_columns"),
-            (dict(backend="colsharded", tile_columns=64), "tile_columns"),
+            (dict(backend="numpy", workers=2, tile_columns=0), "tile_columns"),
             (dict(prefix_samples=0), "prefix_samples"),
             (dict(chunk_samples=-1), "chunk_samples"),
             (dict(n_channels=0), "n_channels"),
@@ -89,17 +95,22 @@ class TestRunConfigValidation:
         assert RunConfig(backend="NumPy").backend == "numpy"
 
     def test_gpu_backend_name_is_rejected(self):
-        with pytest.raises(ValueError) as excinfo:
-            RunConfig(backend="gpu")
-        assert str(excinfo.value).startswith(
-            "backend: unknown execution backend 'gpu'"
-        ), excinfo.value
+        # Deleted backends: the GPU path and the process-sharded pair.
+        for name in ("gpu", "sharded", "colsharded"):
+            with pytest.raises(ValueError) as excinfo:
+                RunConfig(backend=name)
+            assert str(excinfo.value).startswith(
+                f"backend: unknown execution backend '{name}'"
+            ), excinfo.value
 
     def test_resolved_backend_options_fold_sizing_fields(self):
-        config = RunConfig(backend="sharded", workers=3, backend_options={"extra": 1})
+        config = RunConfig(backend="numpy", workers=3, backend_options={"extra": 1})
         assert config.resolved_backend_options() == {"workers": 3, "extra": 1}
         tiled = RunConfig(backend="numpy", tile_columns=64)
         assert tiled.resolved_backend_options() == {"tile_columns": 64}
+        # Each lane stripe tiles on its own, so the two sizing fields combine.
+        striped = RunConfig(backend="numpy", workers=2, tile_columns=64)
+        assert striped.resolved_backend_options() == {"workers": 2, "tile_columns": 64}
 
 
 # ------------------------------------------------------------ serialization
@@ -114,7 +125,7 @@ class TestRunConfigSerialization:
             n_channels=16,
             batch=True,
             label="flowcell-A",
-            backend="sharded",
+            backend="numpy",
             workers=4,
         )
         assert config.to_dict()["label"] == "flowcell-A"
@@ -134,11 +145,11 @@ class TestRunConfigSerialization:
             config.to_dict()
 
     def test_json_file_roundtrip(self, tmp_path):
-        config = RunConfig(genome="ACGT" * 200, backend="colsharded", workers=2)
+        config = RunConfig(genome="ACGT" * 200, backend="numpy", workers=2)
         path = tmp_path / "run.json"
         config.to_file(path)
         assert RunConfig.from_file(path) == config
-        assert json.loads(path.read_text())["backend"] == "colsharded"
+        assert json.loads(path.read_text())["workers"] == 2
 
     def test_yaml_file_roundtrip(self, tmp_path):
         pytest.importorskip("yaml")
@@ -239,6 +250,28 @@ class TestSessionLifecycle:
             actions = session.submit([good])
             assert len(actions) == 1 and actions[0].is_terminal
 
+    def test_non_finite_sample_on_the_pipeline_path_keeps_the_session(
+        self, reference_squiggle, target_signals
+    ):
+        """ReadUntilPipeline drives on_chunk_batch directly: the same check
+        refuses the round before any lane advances, the session stays open,
+        and the next round decides exactly as on a fresh session."""
+        good = _chunk("r0", target_signals[0][:400], last=True)
+        signal = np.array(target_signals[1][:400], dtype=np.float64)
+        signal[3] = np.nan
+        with open_session(self._config(reference_squiggle)) as fresh:
+            (expected,) = fresh.submit([good])
+        with open_session(self._config(reference_squiggle)) as session:
+            session.begin_read("r0")
+            session.begin_read("r1")
+            with pytest.raises(ValueError, match=r"^chunk\[1\]\.signal: sample 3 is nan"):
+                session.on_chunk_batch([good, _chunk("r1", signal, channel=1, last=True)])
+            assert not session.closed
+            assert session.summary()["rounds"] == 0
+            (action,) = session.on_chunk_batch([good])
+        assert action.is_terminal
+        assert (action.kind, action.cost) == (expected.kind, expected.cost)
+
     def test_summary_tallies_decisions(self, reference_squiggle, target_signals):
         with open_session(self._config(reference_squiggle)) as session:
             session.submit(
@@ -271,7 +304,7 @@ class TestSessionLifecycle:
         with open_session(self._config(reference_squiggle)) as session:
             assert "label" not in session.summary()
 
-    @pytest.mark.parametrize("backend,extra", SESSION_BACKENDS)
+    @pytest.mark.parametrize("backend,extra", SESSION_BACKENDS, ids=SESSION_BACKEND_IDS)
     def test_use_after_close_raises_session_closed_error(
         self, reference_squiggle, target_signals, backend, extra
     ):
@@ -452,7 +485,7 @@ class TestDeprecationShims:
         runtime_flowcell_reads,
     ):
         config = session_config(
-            reference_squiggle, runtime_threshold, backend="sharded", workers=2
+            reference_squiggle, runtime_threshold, backend="numpy", workers=2
         )
         with open_session(config) as session:
             session_decisions = _decision_fields(
@@ -524,7 +557,7 @@ class TestCliRunConfig:
                 "--config",
                 str(path),
                 "--backend",
-                "sharded",
+                "numpy",
                 "--workers",
                 "2",
                 "--prefix-samples",
@@ -534,7 +567,7 @@ class TestCliRunConfig:
         assert exit_code == 0
         dumped = json.loads(capsys.readouterr().out)
         # flag > file > default
-        assert dumped["backend"] == "sharded"
+        assert dumped["backend"] == "numpy"
         assert dumped["workers"] == 2
         assert dumped["prefix_samples"] == 500
         assert dumped["n_channels"] == 4

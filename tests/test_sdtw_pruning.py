@@ -31,13 +31,21 @@ from repro.obs.trace import Tracer
 from repro.runtime import RunConfig, open_session
 from repro.sequencer.read_until_api import SignalChunk
 
-# Every registered backend, in host-executable form: "native" runs its
-# scalar kernel as pure Python when Numba is absent.
+# Every registered backend, in host-executable form ("native" runs its
+# scalar kernel as pure Python when Numba is absent), plus the numpy
+# backend's lanes striped over threads, with and without column tiling.
 PRUNE_BACKENDS = [
     ("numpy", None),
-    ("sharded", {"workers": 2}),
-    ("colsharded", {"workers": 2}),
+    ("numpy", {"workers": 2}),
+    ("numpy", {"workers": 3, "tile_columns": 17}),
     ("native", {"jit": False}),
+]
+# Ids name the lane stripes ("sharded-lanes") and the column tile width.
+PRUNE_BACKEND_IDS = [
+    "numpy-None",
+    "sharded-lanes-workers2",
+    "cols17-workers3",
+    "native-options3",
 ]
 
 _PRUNE_REFERENCE = np.random.default_rng(20260807).integers(-127, 128, 60)
@@ -142,7 +150,7 @@ class TestPrunedBitIdentity:
             for engine in engines:
                 engine.close()
 
-    @pytest.mark.parametrize("backend,options", PRUNE_BACKENDS)
+    @pytest.mark.parametrize("backend,options", PRUNE_BACKENDS, ids=PRUNE_BACKEND_IDS)
     def test_per_target_costs_exact_below_bound_on_panel(
         self, backend, options, kmer_model
     ):

@@ -29,7 +29,7 @@ from repro.serve import (
     ServeClientError,
     ServeServer,
 )
-from repro.serve.app import MAX_BODY_BYTES
+from repro.serve.app import MAX_BODY_BYTES, MAX_HEADERS, MAX_LINE_BYTES
 from repro.serve.client import AsyncServeClient
 from repro.serve.manager import SessionManager, chunk_from_payload
 from repro.serve.workload import build_tenant_workloads, replay_flowcell
@@ -448,6 +448,42 @@ class TestRequestFraming:
         assert status == 413
         assert headers["connection"] == "close"
         assert str(MAX_BODY_BYTES) in body["error"]
+
+    def test_overlong_request_line_is_a_400_and_closes(self, serve_server):
+        target = "/health?" + "a" * (MAX_LINE_BYTES + 4096)
+        status, headers, body = _raw_exchange(
+            serve_server, f"GET {target} HTTP/1.1\r\n\r\n".encode()
+        )
+        assert status == 400
+        assert headers["connection"] == "close"
+        assert body["error"].startswith("request line:")
+
+    def test_overlong_header_line_is_a_431_and_closes(self, serve_server):
+        status, headers, body = _raw_exchange(
+            serve_server,
+            f"GET /health HTTP/1.1\r\nX-A: {'a' * 70_000}\r\n\r\n".encode(),
+        )
+        assert status == 431
+        assert headers["connection"] == "close"
+        assert body["error"].startswith("header:")
+        assert str(MAX_LINE_BYTES) in body["error"]
+
+    @pytest.mark.parametrize("n_headers,status", [(MAX_HEADERS, 200), (MAX_HEADERS + 1, 431)])
+    def test_header_count_is_bounded(self, serve_server, n_headers, status):
+        lines = "".join(f"X-H{index}: v\r\n" for index in range(n_headers - 1))
+        request = f"GET /health HTTP/1.1\r\n{lines}Connection: close\r\n\r\n"
+        got, headers, body = _raw_exchange(serve_server, request.encode())
+        assert got == status
+        assert headers["connection"] == "close"
+        if status == 431:
+            assert body["error"] == f"headers: more than {MAX_HEADERS} header lines"
+
+    def test_server_survives_rejected_framing(self, serve_server, serve_client):
+        _raw_exchange(
+            serve_server,
+            f"GET /health HTTP/1.1\r\nX-A: {'a' * 70_000}\r\n\r\n".encode(),
+        )
+        assert serve_client.health()["status"] == "ok"
 
 
 class TestBackpressure:

@@ -3,9 +3,9 @@
 The contract under test (PR 4's acceptance invariant): a panel of N targets
 advanced through the concatenated column space produces per-target costs,
 end positions and rows **bit-identical** to N independent single-reference
-``sdtw_resume`` runs — on every execution backend (``numpy``, ``sharded``,
-``colsharded``), with in-process column tiling, across ragged chunk
-schedules, ragged target lengths, and lane recycling.
+``sdtw_resume`` runs — serially and with lanes striped over threads, with
+and without column tiling, across ragged chunk schedules, ragged target
+lengths, and lane recycling.
 """
 
 import numpy as np
@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.batch.backends import ColumnShardedBackend, available_backends, create_backend
+from repro.batch.backends import NumpyBackend, available_backends, create_backend
 from repro.batch.classifier import BatchSquiggleClassifier
 from repro.batch.engine import BatchSDTWEngine
 from repro.core.config import SDTWConfig
@@ -31,14 +31,14 @@ from repro.pipeline.api import build_pipeline
 from repro.pipeline.read_until import ReadUntilPipeline
 from repro.runtime import RunConfig
 
-# Every execution shape a panel can advance on: the in-process wavefront,
-# the same wavefront in cache-sized column tiles, lanes across workers, and
-# reference columns across workers.
+# Every execution shape a panel can advance on: the serial wavefront, the
+# same wavefront in cache-sized column tiles, lanes striped over threads, and
+# striped lanes that each tile their columns.
 PANEL_BACKENDS = [
     ("numpy", None),
     ("numpy", {"tile_columns": 17}),
-    ("sharded", {"workers": 2}),
-    ("colsharded", {"workers": 2}),
+    ("numpy", {"workers": 2}),
+    ("numpy", {"workers": 3, "tile_columns": 17}),
 ]
 
 # Deliberately ragged target lengths (in reference columns, both strands).
@@ -138,7 +138,7 @@ class TestPanelBitIdentity:
     def test_panel_costs_match_independent_runs_on_all_backends(self, queries, data):
         """The acceptance property: per-target panel costs/ends equal N
         independent single-reference sdtw_resume runs, across ragged chunk
-        schedules, on numpy (tiled and untiled), sharded and colsharded."""
+        schedules, serial and striped, tiled and untiled."""
         n_rounds = data.draw(st.integers(min_value=1, max_value=3))
         seed = data.draw(st.integers(min_value=0, max_value=2**31))
         rng = np.random.default_rng(seed)
@@ -221,71 +221,40 @@ class TestPanelBitIdentity:
         assert np.array_equal(tiled.runs, untiled.runs)
         assert np.array_equal(tiled.samples_processed, untiled.samples_processed)
 
-    def test_colsharded_tile_narrower_than_last_block(self, rng):
-        """7 workers over 98 columns leave tiles narrower than gamma's block,
-        and beta's 11-column block straddles a tile boundary entirely."""
+    @pytest.mark.parametrize(
+        "n_lanes,workers", [(0, 4), (1, 4), (2, 4), (5, 2)]
+    )
+    def test_stripes_clamped_to_lanes(self, n_lanes, workers, rng):
+        """A round splits into min(workers, lanes) stripes; rounds with fewer
+        than two lanes (none at all, or one with idle threads to spare) run
+        serially and still produce exact per-target costs."""
+        from repro.obs import Tracer
+
         config = SDTWConfig.hardware()
-        backend = ColumnShardedBackend(
-            PANEL_CONCAT, config, capacity=2, workers=7, block_starts=PANEL_STARTS
+        backend = NumpyBackend(
+            PANEL_CONCAT,
+            config,
+            capacity=max(n_lanes, 1),
+            workers=workers,
+            block_starts=PANEL_STARTS,
         )
+        backend.tracer = Tracer()
         try:
-            queries = [rng.integers(-127, 128, 30), rng.integers(-127, 128, 13)]
-            costs, ends = backend.advance(np.array([0, 1]), queries)
+            queries = [rng.integers(-127, 128, 13 + lane) for lane in range(n_lanes)]
+            costs, ends = backend.advance(np.arange(n_lanes, dtype=np.intp), queries)
+            assert costs.shape == ends.shape == (n_lanes, 3)
             for lane, query in enumerate(queries):
-                for index, (name, reference) in enumerate(PANEL_REFERENCES.items()):
+                for index, reference in enumerate(PANEL_REFERENCES.values()):
                     expected = sdtw_resume(query, reference, config)
                     assert costs[lane, index] == expected.cost
                     assert ends[lane, index] == expected.end_position
+            (wavefront,) = [
+                r for r in backend.tracer.records() if r.name == "backend.wavefront"
+            ]
+            stripes = (wavefront.args or {}).get("stripes")
+            assert stripes == (min(workers, n_lanes) if n_lanes >= 2 else None)
         finally:
             backend.close()
-
-    def test_colsharded_worker_count_clamped_to_columns(self, rng):
-        reference = rng.integers(-127, 128, 3)
-        backend = ColumnShardedBackend(reference, SDTWConfig.hardware(), capacity=1, workers=8)
-        try:
-            assert backend.n_workers == 3
-            query = rng.integers(-127, 128, 9)
-            costs, _ = backend.advance(np.array([0]), [query])
-            assert costs[0, 0] == sdtw_resume(query, reference, SDTWConfig.hardware()).cost
-        finally:
-            backend.close()
-
-
-# -------------------------------------------------------------- lane recycling
-class TestColumnShardLaneChurn:
-    def test_recycled_lanes_reset_across_column_shards(self, rng):
-        """Admit -> retire -> re-admit on the colsharded backend: a recycled
-        lane must come up zeroed in *every* column tile, across growth."""
-        config = SDTWConfig.hardware()
-        reference = rng.integers(-127, 128, 40)
-        with BatchSDTWEngine(
-            reference,
-            config,
-            initial_capacity=2,
-            backend="colsharded",
-            backend_options={"workers": 3},
-        ) as engine:
-            first = {key: rng.integers(-127, 128, 12) for key in ("a", "b")}
-            engine.step(list(first.items()))
-            survivor = sdtw_resume(first["b"], reference, config)
-
-            engine.retire("a")
-            fresh = {key: rng.integers(-127, 128, 9) for key in ("c", "d", "e")}
-            for key in fresh:
-                engine.admit(key)
-            assert engine.capacity > 2
-            for key in fresh:
-                assert engine.samples_processed(key) == 0
-                assert engine.snapshot(key).cost == 0.0
-                assert not engine.state_of(key).row.any()
-
-            snaps = engine.step(list(fresh.items()))
-            for key, query in fresh.items():
-                expected = sdtw_resume(query, reference, config)
-                assert snaps[key].cost == expected.cost
-                assert np.array_equal(engine.state_of(key).row, expected.row)
-            assert np.array_equal(engine.state_of("b").row, survivor.row)
-            assert engine.samples_processed("b") == survivor.samples_processed
 
 
 # ------------------------------------------------------------------ filter API
@@ -522,15 +491,15 @@ class TestCliTargetPanel:
         for name in ("virus1", "virus2", "virus3"):
             assert f"accepts[{name}]" in output
 
-    def test_target_panel_with_colsharded_backend(self, capsys):
+    def test_target_panel_with_threaded_backend(self, capsys):
         from repro.cli import main
 
         exit_code = main(
-            self.CLI_ARGS + ["--target-panel", "2", "--backend", "colsharded", "--workers", "2"]
+            self.CLI_ARGS + ["--target-panel", "2", "--backend", "numpy", "--workers", "2"]
         )
         assert exit_code == 0
         output = capsys.readouterr().out
-        assert "colsharded" in output
+        assert "numpy" in output
         assert "accepts[virus1]" in output
 
     def test_target_panel_requires_squigglefilter_family(self, capsys):
@@ -548,10 +517,10 @@ class TestCliTargetPanel:
         assert main(self.CLI_ARGS + ["--target-panel", "1"]) == 2
         assert "at least 2" in capsys.readouterr().err
 
-    def test_workers_accepts_colsharded(self, capsys):
+    def test_workers_rejected_on_native_backend(self, capsys):
         from repro.cli import main
 
-        # RunConfig validation owns the workers-vs-backend check now; the
-        # error names the offending field.
-        assert main(self.CLI_ARGS + ["--workers", "2"]) == 2
+        # RunConfig validation owns the workers-vs-backend check; the error
+        # names the offending field.
+        assert main(self.CLI_ARGS + ["--backend", "native", "--workers", "2"]) == 2
         assert "workers" in capsys.readouterr().err

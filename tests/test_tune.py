@@ -249,6 +249,10 @@ class TestWorkloadShape:
         assert candidates, "candidate list must never be empty"
         assert candidates[0].backend == "numpy"
         assert {c.backend for c in candidates} <= installed
+        # Thread counts are a numpy-backend knob: one candidate per count.
+        threaded = [c.workers for c in candidates if c.workers is not None]
+        assert all(c.backend == "numpy" for c in candidates if c.workers is not None)
+        assert len(threaded) == len(set(threaded))
 
 
 # ------------------------------------------------------------- tune_config
@@ -292,24 +296,26 @@ class TestTuneConfig:
         assert elapsed < 10.0
         assert outcome.decision.probed_s > 0.0
 
-    def _plant_cached_backend(self, config, backend):
+    def _plant_cached_backend(self, config, backend, workers=None):
         """Write a hand-made cache entry for ``config``'s shape naming ``backend``."""
         cache = TuningCache()
         cache.put(
             cache_key(WorkloadShape.from_config(config)),
-            {"backend": backend, "workers": None, "tile_columns": None,
+            {"backend": backend, "workers": workers, "tile_columns": None,
              "prune": False, "lb_cascade": False},
         )
         assert cache.save()
 
     def test_cached_unregistered_backend_is_a_miss(self):
         config = small_config(backend="auto", tune_budget_s=1e-6)
-        self._plant_cached_backend(config, "gpu")
-        outcome = tune_config(config)
-        assert outcome.decision.cache_hit is False
-        assert outcome.decision.backend == "numpy"
-        resolved, _ = resolve_auto(config)
-        assert resolved.backend == "numpy"
+        # Deleted backends a cache written by an older version may still name.
+        for backend, workers in (("gpu", None), ("sharded", 2)):
+            self._plant_cached_backend(config, backend, workers=workers)
+            outcome = tune_config(config)
+            assert outcome.decision.cache_hit is False, backend
+            assert outcome.decision.backend == "numpy"
+            resolved, _ = resolve_auto(config)
+            assert resolved.backend == "numpy"
 
     def test_cached_native_without_compiled_kernel_is_a_miss(self, monkeypatch):
         import repro.batch.native as native
